@@ -3,10 +3,23 @@
 Terms are stored as a dict mapping exponent tuples to nonzero scalars.  The
 variable tuple is part of the value; mixed-variable arithmetic is an error.
 Monomial order (graded lex) is fixed for printing and exact division only.
+
+sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
+QQ becomes an element of sympy's sparse `PolyRing(ZZ)` built from its term
+dict, scaled by the lcm of its denominators.  Resultants, multivariate gcds
+and factorizations with coefficients in QQ run there.  Everything over a
+number field stays in this module: the PRS gcd, Trager's factorization and
+the Bareiss resultant over Q(a).
+
+`resultant` returns the exact Sylvester determinant in both cases.  sympy
+swaps the operands when the first has the smaller degree but omits the
+sign (-1)^(mn), so the QQ path puts the larger degree first and applies the
+sign itself.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import scalar as _sc
@@ -592,6 +605,56 @@ def poly_from_coeffs(coeffs, ctx, vars, var):
 
 
 # ---------------------------------------------------------------------------
+# the integer boundary to sympy
+
+_ZZ_RINGS = {}
+
+
+def _zz_ring(vars, first):
+    ring = _ZZ_RINGS.get((vars, first))
+    if ring is None:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.rings import PolyRing
+
+        gens = vars if first is None else (first,) + tuple(v for v in vars if v != first)
+        ring = _ZZ_RINGS[(vars, first)] = PolyRing(gens, ZZ)
+    return ring
+
+
+def to_zz(p, first=None):
+    """(D, a) with a = D * p in sympy's PolyRing(ZZ) on p.vars.
+
+    p has coefficients in QQ and D is the lcm of their denominators.  The
+    generator `first`, if given, is moved to the front of the ring.
+    """
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    i = None if first is None else p.vars.index(first)
+    terms = {}
+    for e, c in p.terms.items():
+        if i is not None:
+            e = (e[i],) + e[:i] + e[i + 1:]
+        terms[e] = c.numerator * (den // c.denominator)
+    return den, _zz_ring(p.vars, first).from_dict(terms)
+
+
+def from_zz(a, vars, first=None, scale=Fraction(1)):
+    """The MPoly scale * a over QQ, for `a` from a ring built by to_zz.
+
+    `a` may also lack the front generator `first` (a resultant eliminates
+    it); that variable then has exponent 0.
+    """
+    i = None if first is None else vars.index(first)
+    num, den = scale.numerator, scale.denominator
+    terms = {}
+    for e, c in a.items():
+        if i is not None:
+            k, e = (e[0], e[1:]) if len(e) == len(vars) else (0, e)
+            e = e[:i] + (k,) + e[i:]
+        terms[e] = Fraction(int(c) * num, den)
+    return MPoly(QQ, vars, terms)
+
+
+# ---------------------------------------------------------------------------
 # exact division, gcd, resultant
 
 def exact_div(p, q):
@@ -646,41 +709,10 @@ def _coeff_gcd_list(polys):
     return g
 
 
-def to_sympy(p, symbols):
-    """Convert a rational-coefficient MPoly to a sympy expression."""
-    import sympy
-
-    expr = sympy.Integer(0)
-    for e, c in p.terms.items():
-        mono = sympy.Rational(c.numerator, c.denominator)
-        for s, k in zip(symbols, e):
-            if k:
-                mono *= s ** k
-        expr += mono
-    return expr
-
-
-def from_sympy(expr, ctx, vars, symbols):
-    import sympy
-
-    poly = sympy.Poly(expr, *symbols, domain="QQ")
-    terms = {}
-    for mono, c in poly.terms():
-        terms[tuple(mono)] = Fraction(c.p, c.q)
-    return MPoly(ctx, tuple(vars), terms)
-
-
 def _mgcd_qq(p, q):
-    import sympy
-
-    symbols = sympy.symbols(" ".join(f"s_{v}" for v in p.vars))
-    if len(p.vars) == 1:
-        symbols = (symbols,)
-    g = sympy.gcd(
-        sympy.Poly(to_sympy(p, symbols), *symbols, domain="QQ"),
-        sympy.Poly(to_sympy(q, symbols), *symbols, domain="QQ"),
-    )
-    return _monic(from_sympy(g.as_expr(), p.ctx, p.vars, symbols))
+    _, a = to_zz(p)
+    _, b = to_zz(q)
+    return _monic(from_zz(a.gcd(b), p.vars))
 
 
 def mgcd(p, q):
@@ -799,7 +831,11 @@ def is_squarefree(p):
 
 
 def resultant(p, q, var):
-    """Classical resultant via fraction-free (Bareiss) Sylvester elimination."""
+    """Res_var(p, q): the determinant of the Sylvester matrix, exactly.
+
+    Over QQ it runs in sympy's PolyRing(ZZ); over a number field it is
+    fraction-free (Bareiss) elimination on the Sylvester matrix.
+    """
     if not p or not q:
         raise ZeroPolynomial("resultant of zero polynomial")
     m, n = p.degree_in(var), q.degree_in(var)
@@ -811,6 +847,8 @@ def resultant(p, q, var):
         return p ** n
     if n == 0:
         return q ** m
+    if ctx == QQ:
+        return _resultant_qq(p, q, var, m, n)
     pc = [p.coeff_of(var, k) for k in range(m + 1)]
     qc = [q.coeff_of(var, k) for k in range(n + 1)]
     size = m + n
@@ -826,6 +864,22 @@ def resultant(p, q, var):
             row[i + (n - k)] = qc[k]
         rows.append(row)
     return _bareiss_det(rows, ctx, vars)
+
+
+def _resultant_qq(p, q, var, m, n):
+    # sympy swaps operands with deg p < deg q without the sign (-1)^(mn), so
+    # the larger degree goes first and the sign is applied here.
+    sign = 1
+    if m < n:
+        p, q, m, n = q, p, n, m
+        sign = (-1) ** (m * n)
+    da, a = to_zz(p, var)
+    db, b = to_zz(q, var)
+    # Res(a, b) = da^n * db^m * Res(p, q): p fills n rows, q fills m rows
+    r = a.resultant(b)
+    if not isinstance(r, dict):  # one-variable ring: an integer
+        r = {(): r} if r else {}
+    return from_zz(r, p.vars, var, Fraction(sign, da ** n * db ** m))
 
 
 def _bareiss_det(rows, ctx, vars):
@@ -908,18 +962,27 @@ def factor_coeff_list(coeffs, ctx):
 
 
 def _factor_qq(coeffs):
-    import sympy
+    _, a = to_zz(poly_from_coeffs(coeffs, QQ, ("t",), "t"))
+    _, factors = a.factor_list()
+    return [(univariate_coeffs(_monic(from_zz(f, ("t",)))), k) for f, k in factors]
 
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** k for k, c in enumerate(coeffs))
-    _, factors = sympy.Poly(expr, t, domain="QQ").factor_list()
-    out = []
-    for fac, k in factors:
-        fc = fac.all_coeffs()[::-1]
-        lead = Fraction(fc[-1].p, fc[-1].q)
-        cs = [Fraction(c.p, c.q) / lead for c in fc]
-        out.append((cs, k))
-    return out
+
+def factor_qq(p):
+    """Irreducible factorization over QQ of a nonzero MPoly over QQ.
+
+    Returns (unit, [(factor, exponent), ...]) with unit * prod factor^k == p.
+    Each factor is primitive over ZZ with positive sympy-lex leading
+    coefficient.  Factors are ordered by the text of sympy's
+    ``Poly(factor, *vars, domain='QQ')``, so the order does not depend on
+    how sympy lists them.
+    """
+    if not p:
+        raise ZeroPolynomial("factorization of zero polynomial")
+    d, a = to_zz(p)
+    unit, factors = a.factor_list()
+    gens = ", ".join(p.vars)
+    factors.sort(key=lambda t: f"Poly({t[0]}, {gens}, domain='QQ')")
+    return Fraction(int(unit), d), [(from_zz(f, p.vars), k) for f, k in factors]
 
 
 def _trager(f, ctx):

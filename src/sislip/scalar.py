@@ -19,7 +19,6 @@ __all__ = [
     "as_scalar",
     "is_zero",
     "scalar_inv",
-    "field_arith",
     "extend_field",
 ]
 
@@ -343,21 +342,6 @@ def scalar_div(a, b):
     if b == 0:
         raise DivisionByZero("division by zero scalar")
     return Fraction(a) / b
-
-
-def field_arith(op, a, b):
-    """Exact field operation; op in {add, sub, mul, div}."""
-    a, b = _as_frac_or_alg(a), _as_frac_or_alg(b)
-    join_ctx(a, b)  # raises ContextMismatch early
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return scalar_div(a, b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def extend_field(ctx, m, name=None):

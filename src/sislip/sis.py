@@ -27,7 +27,9 @@ from .errors import (
 )
 from .poly import (
     MPoly,
+    _uni_gcd,
     factor_coeff_list,
+    factor_qq,
     is_squarefree,
     mgcd,
     multiplicity_of_factor,
@@ -105,24 +107,12 @@ def from_polynomial(F):
 def components(s):
     """Irreducible components of the tangent cone, as (name, factor) pairs."""
     if s._components is None:
-        import sympy
-
-        xs = sympy.symbols("x y z")
-        expr = 0
-        for e, c in s.f.terms.items():
-            expr += sympy.Rational(c.numerator, c.denominator) * \
-                xs[0] ** e[0] * xs[1] ** e[1] * xs[2] ** e[2]
-        const, facs = sympy.factor_list(sympy.Poly(expr, *xs, domain="QQ"))
+        unit, facs = factor_qq(s.f)
         out = []
-        lead = Fraction(const.p, const.q)
-        for i, (fac, k) in enumerate(sorted(facs, key=lambda t: str(t[0]))):
+        for i, (p, k) in enumerate(facs):
             assert k == 1  # f is squarefree
-            terms = {}
-            for mono, c in fac.terms():
-                terms[tuple(mono)] = Fraction(c.p, c.q)
-            p = MPoly(QQ, AMBIENT_VARS, terms)
-            if i == 0 and lead != 1:
-                p = p * lead
+            if i == 0 and unit != 1:
+                p = p * unit
             out.append((f"C{i + 1}", p))
         s._components = out
     return s._components
@@ -249,16 +239,6 @@ def _affine_singularities(f0):
         yield from out
         return
     raise GenericityAlarm("no shear made the singular-point search regular")
-
-
-def _uni_gcd(a, b):
-    a, b = _sc._trim(list(a)), _sc._trim(list(b))
-    while b:
-        a, b = b, _sc._pdivmod(a, b)[1]
-    if a:
-        inv = _sc.scalar_inv(a[-1])
-        a = [c * inv for c in a]
-    return a
 
 
 def _make_point(s, chart, coords, ctx, size):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,20 +65,28 @@ def test_parse_unknown_variable():
 # ---------------------------------------------------------------------------
 # arithmetic and structure
 
-small_polys = st.builds(
-    lambda terms: MPoly(QQ, VW, {
-        e: Fraction(c) for e, c in terms.items() if c
-    }),
-    st.dictionaries(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        st.integers(-5, 5),
-        max_size=6,
-    ),
-)
+def _polys(coeffs):
+    return st.builds(
+        lambda terms: MPoly(QQ, VW, {
+            e: Fraction(c) for e, c in terms.items() if c
+        }),
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)),
+            coeffs,
+            max_size=6,
+        ),
+    )
+
+
+small_polys = _polys(st.integers(-5, 5))
+# denominators 1-6: exercises clearing denominators and rescaling back
+rational_polys = _polys(st.builds(Fraction, st.integers(-5, 5),
+                                  st.integers(1, 6)))
+polys = small_polys | rational_polys
 
 
 @settings(max_examples=100)
-@given(a=small_polys, b=small_polys, c=small_polys)
+@given(a=polys, b=polys, c=polys)
 def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) - b == a
@@ -124,7 +133,7 @@ def _to_sympy(p, syms):
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=small_polys, b=small_polys, g=small_polys)
+@given(a=polys, b=polys, g=polys)
 def test_mgcd_against_sympy(a, b, g):
     p, q = a * g, b * g
     if not p or not q:
@@ -154,7 +163,7 @@ def test_squarefree_part_coeffs():
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# resultants: the Sylvester determinant as an independent oracle
 
 def test_resultant_hand_sylvester():
     # Res_w(w^2 + v, w + 1) = hand Sylvester determinant = 1 + v
@@ -163,25 +172,35 @@ def test_resultant_hand_sylvester():
     # Res_w(a w + b, c w + d) = a d - b c with polynomial entries
     r2 = resultant(P("v*w + 1"), P("w + v"), "w")
     assert r2 == P("v^2 - 1")
+    # det [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0]] = -1;
+    # sympy 1.14 returns 1 here
+    assert resultant(P("w + 1"), P("w^3"), "w") == P("-1")
+    assert resultant(P("w^3"), P("w + 1"), "w") == P("1")
+
+
+def _sylvester_det(p, q, var, syms):
+    """det of the Sylvester matrix of p, q in var, exactly over QQ[v]."""
+    m, n = p.degree_in(var), q.degree_in(var)
+    pc = [_to_sympy(p.coeff_of(var, k), syms) for k in range(m, -1, -1)]
+    qc = [_to_sympy(q.coeff_of(var, k), syms) for k in range(n, -1, -1)]
+    rows = [[0] * i + pc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + qc + [0] * (m - 1 - i) for i in range(m)]
+    M = DomainMatrix.from_list_sympy(m + n, m + n, rows)
+    return M.domain.to_sympy(M.det())
 
 
 @settings(max_examples=100, deadline=None)
-@given(a=small_polys, b=small_polys)
+@given(a=polys, b=polys)
 def test_resultant_against_sympy(a, b):
     if not a or not b or a.degree_in("w") == 0 or b.degree_in("w") == 0:
         return
     ours = resultant(a, b, "w")
+    assert all(j == 0 for _i, j in ours.terms)
     syms = sympy.symbols("v w")
-    theirs = sympy.Poly(
-        sympy.resultant(_to_sympy(a, syms), _to_sympy(b, syms), syms[1]),
-        syms[0], domain="QQ",
-    )
-    v = sympy.symbols("v")
-    ours_expr = 0
-    for (i, j), c in ours.terms.items():
-        assert j == 0
-        ours_expr += sympy.Rational(c.numerator, c.denominator) * v ** i
-    assert sympy.expand(ours_expr - theirs.as_expr()) == 0
+    assert sympy.expand(_to_sympy(ours, syms)
+                        - _sylvester_det(a, b, "w", syms)) == 0
+    mn = a.degree_in("w") * b.degree_in("w")
+    assert resultant(b, a, "w") == ours * (-1) ** mn
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +215,18 @@ def test_factor_univariate_rationals():
     for f, k in facs:
         prod = prod * f ** k
     assert prod == p  # p is monic
+
+
+def test_factor_univariate_rational_coefficients():
+    p = P("(2/3*v - 1/2)^2 * (5/4*v^2 + 1/6) * v", vars=("v",))
+    facs = factor_univariate(p)
+    assert sorted((f.total_degree(), k) for f, k in facs) == \
+        [(1, 1), (1, 2), (2, 1)]
+    prod = MPoly.const(QQ, ("v",), p.terms[(5,)])  # leading coefficient
+    for f, k in facs:
+        assert f.terms[(f.total_degree(),)] == 1
+        prod = prod * f ** k
+    assert prod == p
 
 
 def test_factor_cyclotomic_irreducible():
