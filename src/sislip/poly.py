@@ -6,10 +6,11 @@ Monomial order (graded lex) is fixed for printing and exact division only.
 
 sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
 QQ becomes an element of sympy's sparse `PolyRing(ZZ)` built from its term
-dict, scaled by the lcm of its denominators.  Resultants, multivariate gcds
-and factorizations with coefficients in QQ run there.  Everything over a
-number field stays in this module: the PRS gcd, Trager's factorization and
-the Bareiss resultant over Q(a).
+dict, scaled by the lcm of its denominators.  Resultants, multivariate and
+univariate gcds and factorizations with coefficients in QQ run there.
+Everything over a number field stays in this module: the PRS gcd, Euclid on
+coefficient lists, Trager's factorization and the Bareiss resultant over
+Q(a).
 
 `resultant` returns the exact Sylvester determinant in both cases.  sympy
 swaps the operands when the first has the smaller degree but omits the
@@ -271,25 +272,29 @@ class MPoly:
         return MPoly(ctx, self.vars, terms)
 
     def shift(self, var, c):
-        """Substitute var -> var + c."""
+        """Substitute var -> var + c.
+
+        One Taylor pass over the terms: co * var^k contributes
+        co * C(k, j) * c^(k-j) at var^j.
+        """
         c = as_scalar(self.ctx, c)
-        if is_zero(c):
-            return self.lift(_join_sc(self.ctx, c))
-        i = self.vars.index(var)
         ctx = _join_sc(self.ctx, c)
-        # Horner on the coefficient list in var
-        deg = max((e[i] for e in self.terms), default=0)
-        coeffs = [MPoly.zero(ctx, self.vars) for _ in range(deg + 1)]
+        if is_zero(c):
+            return self.lift(ctx)
+        i = self.vars.index(var)
+        pows = [Fraction(1)]
+        for _ in range(max((e[i] for e in self.terms), default=0)):
+            pows.append(pows[-1] * c)
+        # taylor[k][j] = C(k, j) * c^(k-j), for the degrees k that occur
+        taylor = {k: [math.comb(k, j) * pows[k - j] for j in range(k + 1)]
+                  for k in {e[i] for e in self.terms}}
+        terms = {}
         for e, co in self.terms.items():
-            e2 = list(e)
-            k = e2[i]
-            e2[i] = 0
-            coeffs[k] = coeffs[k] + MPoly(ctx, self.vars, {tuple(e2): co})
-        x_plus_c = MPoly.var(ctx, self.vars, var) + MPoly.const(ctx, self.vars, c)
-        result = MPoly.zero(ctx, self.vars)
-        for k in range(deg, -1, -1):
-            result = result * x_plus_c + coeffs[k]
-        return result
+            for j, s in enumerate(taylor[e[i]]):
+                e2 = e[:i] + (j,) + e[i + 1:]
+                terms[e2] = terms.get(e2, 0) + co * s
+        terms = {e: co for e, co in terms.items() if not is_zero(co)}
+        return MPoly(ctx, self.vars, terms)
 
     def scale_var(self, var, c):
         """Substitute var -> c * var (c a nonzero scalar)."""
@@ -791,7 +796,14 @@ def _pseudo_rem(a, b, var):
 
 
 def _uni_gcd(a, b):
+    """Monic gcd of two coefficient lists; [] when both are zero.
+
+    Over QQ it runs in sympy's PolyRing(ZZ); over a number field it is
+    Euclid on the coefficient lists.
+    """
     a, b = _sc._trim(a), _sc._trim(b)
+    if not any(isinstance(c, AlgNum) for c in a + b):
+        return _monic_coeffs(_uni_zz(a).gcd(_uni_zz(b)))
     while b:
         _, r = _sc._pdivmod(a, b)
         a, b = b, r
@@ -961,10 +973,19 @@ def factor_coeff_list(coeffs, ctx):
     return out
 
 
+def _uni_zz(coeffs):
+    """A univariate coefficient list over QQ, cleared into PolyRing(ZZ)."""
+    return to_zz(poly_from_coeffs(coeffs, QQ, ("t",), "t"))[1]
+
+
+def _monic_coeffs(a):
+    """The monic coefficient list of an element of _uni_zz's ring."""
+    return univariate_coeffs(_monic(from_zz(a, ("t",))))
+
+
 def _factor_qq(coeffs):
-    _, a = to_zz(poly_from_coeffs(coeffs, QQ, ("t",), "t"))
-    _, factors = a.factor_list()
-    return [(univariate_coeffs(_monic(from_zz(f, ("t",)))), k) for f, k in factors]
+    _, factors = _uni_zz(coeffs).factor_list()
+    return [(_monic_coeffs(f), k) for f, k in factors]
 
 
 def factor_qq(p):

@@ -30,6 +30,8 @@ from .errors import (
 from .poly import (
     MPoly,
     RatFunc,
+    _join,
+    _uni_gcd,
     factor_coeff_list,
     is_squarefree,
     mgcd,
@@ -330,7 +332,7 @@ class Resolution:
         if self.root is not None:
             if not g:
                 raise ZeroPolynomial("valuation of the zero germ")
-            self._walk(self.root, g.lift(_ctx_join(g.ctx, self.base_ctx)),
+            self._walk(self.root, g.lift(_join(g.ctx, self.base_ctx)),
                        None, None, out, orders)
         self._mult_cache[g] = (out, orders)
         return out, orders
@@ -403,10 +405,7 @@ class BlowupCharts:
 def blow_up(h, center=(0, 0)):
     """One blow-up of the germ h at a point, returning both charts."""
     cv, cw = center
-    if not is_zero(_sc._as_frac_or_alg(cv) if not hasattr(cv, "ctx") else cv):
-        h = h.shift("v", cv)
-    if not is_zero(_sc._as_frac_or_alg(cw) if not hasattr(cw, "ctx") else cw):
-        h = h.shift("w", cw)
+    h = h.shift("v", cv).shift("w", cw)
     if not h or h.order_at_origin() < 1:
         raise CenterNotOnDivisor("center is not on the curve")
     sf, mf = _strip_v(_subst_f(h))
@@ -431,7 +430,7 @@ def intersection_mult(h1, h2):
         raise CommonComponent("germs share a component")
     if f.order_at_origin() == 0 or g.order_at_origin() == 0:
         return 0
-    ctx = _ctx_join(f.ctx, g.ctx)
+    ctx = _join(f.ctx, g.ctx)
     v = MPoly.var(ctx, f.vars, "v")
     w = MPoly.var(ctx, f.vars, "w")
     for lam in range(_SHEAR_LIMIT):
@@ -442,7 +441,7 @@ def intersection_mult(h1, h2):
             continue
         f0 = univariate_coeffs(fs.set_var("v", 0), "w")
         g0 = univariate_coeffs(gs.set_var("v", 0), "w")
-        shared = _uni_gcd_coeffs(f0, g0)
+        shared = _uni_gcd(f0, g0)
         # all common zeros on the line v=0 must sit at the origin
         if any(not is_zero(c) for c in shared[:-1]):
             continue
@@ -458,21 +457,6 @@ def _w_regular(p):
     d = p.degree_in("w")
     lead = p.coeff_of("w", d)
     return not is_zero(lead.terms.get((0, 0), Fraction(0)))
-
-
-def _uni_gcd_coeffs(a, b):
-    a, b = _sc._trim(a), _sc._trim(b)
-    while b:
-        a, b = b, _sc._pdivmod(a, b)[1]
-    return a if a else [Fraction(1)]
-
-
-def _ctx_join(a, b):
-    if a.is_prefix_of(b):
-        return b
-    if b.is_prefix_of(a):
-        return a
-    raise _sc.ContextMismatch(f"incompatible contexts {a} and {b}")
 
 
 # ---------------------------------------------------------------------------

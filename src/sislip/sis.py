@@ -121,22 +121,20 @@ def components(s):
 # ---------------------------------------------------------------------------
 # singular points of the tangent cone
 
-_CHART_SUBS = {
-    # chart index (which coordinate is set to 1) -> substitution targets
-    0: ("1", "v", "w"),
-    1: ("v", "1", "w"),
-    2: ("v", "w", "1"),
-}
+def dehomogenize(p, chart):
+    """The form p(x, y, z) in the affine chart where coordinate `chart` is 1.
 
-
-def dehomogenize(p, chart, ctx=QQ):
-    v = MPoly.var(ctx, GERM_VARS, "v")
-    w = MPoly.var(ctx, GERM_VARS, "w")
-    one = MPoly.const(ctx, GERM_VARS, 1)
-    lookup = {"1": one, "v": v, "w": w}
-    sub = _CHART_SUBS[chart]
-    env = {name: lookup[t] for name, t in zip(AMBIENT_VARS, sub)}
-    return p.evaluate(env)
+    An exponent remap: the other two coordinates, in order, become (v, w).
+    p is homogeneous, so no two terms collide; were it not, colliding terms
+    would be summed.
+    """
+    a, b = (i for i in range(3) if i != chart)
+    terms = {}
+    for e, c in p.terms.items():
+        k = (e[a], e[b])
+        terms[k] = terms.get(k, 0) + c
+    terms = {k: c for k, c in terms.items() if not is_zero(c)}
+    return MPoly(p.ctx, GERM_VARS, terms)
 
 
 @dataclass

@@ -8,9 +8,11 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sislip import scalar as _sc
 from sislip.errors import CommonComponent, ParseError, UnknownVariable
 from sislip.poly import (
     MPoly,
+    _uni_gcd,
     exact_div,
     factor_univariate,
     is_squarefree,
@@ -80,8 +82,8 @@ def _polys(coeffs):
 
 small_polys = _polys(st.integers(-5, 5))
 # denominators 1-6: exercises clearing denominators and rescaling back
-rational_polys = _polys(st.builds(Fraction, st.integers(-5, 5),
-                                  st.integers(1, 6)))
+rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+rational_polys = _polys(rationals)
 polys = small_polys | rational_polys
 
 
@@ -101,10 +103,26 @@ def test_homogeneous_parts_and_tangent_cone():
     assert p.order_at_origin() == 2
 
 
-def test_shift_is_translation():
-    p = P("v^2 + w")
-    q = p.shift("v", Fraction(1))  # v -> v + 1
+@settings(max_examples=100, deadline=None)
+@given(p=polys, c=rationals, var=st.sampled_from(VW))
+def test_shift_is_translation(p, c, var):
+    q = P("v^2 + w").shift("v", Fraction(1))  # v -> v + 1
     assert q == P("v^2 + 2*v + 1 + w")
+    # evaluate at var + c as an independent oracle, over QQ ...
+    env = {u: MPoly.var(QQ, VW, u) for u in VW}
+    env[var] = env[var] + c
+    q = p.shift(var, c)
+    assert q.ctx == QQ and q == p.evaluate(env)
+    # ... and over Q(sqrt 2), with c involving the generator
+    ctx = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    r = ctx.gen()
+    env = {u: MPoly.var(ctx, VW, u) for u in VW}
+    env[var] = env[var] + (c + r)
+    q = p.lift(ctx).shift(var, c + r)
+    assert q.ctx == ctx and q == p.evaluate(env)
+    pr = p.lift(ctx) * (1 - c * r)
+    assert pr.shift(var, c * r) == pr.evaluate(
+        {**env, var: MPoly.var(ctx, VW, var) + c * r})
 
 
 def test_exact_div_long_division_oracle():
@@ -153,6 +171,28 @@ def test_squarefree_detection():
     assert is_squarefree(P("v*w*(v+w)"))
     assert not is_squarefree(P("v^2*w"))
     assert not is_squarefree(P("(v+w)^2*(v-w)"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a1=st.lists(rationals, max_size=5), b1=st.lists(rationals, max_size=5),
+       c=st.lists(rationals, max_size=4))
+def test_uni_gcd_qq(a1, b1, c):
+    a, b = _sc._pmul(c, a1), _sc._pmul(c, b1)
+    g = _uni_gcd(a, b)
+    if not a and not b:
+        assert g == []
+        return
+    assert g[-1] == 1
+    for p in (a, b):
+        assert _sc._pdivmod(p, g)[1] == []
+    assert len(g) >= len(_sc._trim(c))
+
+
+def test_uni_gcd_empty_inputs():
+    b = [Fraction(3), Fraction(-1, 2), Fraction(2)]
+    assert _uni_gcd([], b) == [Fraction(3, 2), Fraction(-1, 4), Fraction(1)]
+    assert _uni_gcd(b, []) == _uni_gcd([], b)
+    assert _uni_gcd([], []) == []
 
 
 def test_squarefree_part_coeffs():

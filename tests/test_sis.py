@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from util import graph_matrix, is_negative_definite
 
 from sislip import sis
@@ -13,8 +15,9 @@ from sislip.errors import (
     TangentConeNotReduced,
     ZeroOnComponent,
 )
-from sislip.poly import parse_poly
-from sislip.resolve import detect_nodes
+from sislip.poly import MPoly, parse_poly
+from sislip.resolve import GERM_VARS, detect_nodes
+from sislip.scalar import QQ
 
 AV = ("x", "y", "z")
 
@@ -57,6 +60,32 @@ def test_validate_rejects_sing_point_on_next_form():
     # tangent cone of y^3 + x z^2 is singular at [1:0:0], where y^4 vanishes
     with pytest.raises(NotSuperisolated):
         sis.from_polynomial(A("y^3 + x*z^2 - y^4"))
+
+
+# ---------------------------------------------------------------------------
+# charts
+
+@st.composite
+def forms(draw):
+    """A homogeneous form in (x, y, z) of degree 0-4, rational coefficients."""
+    d = draw(st.integers(0, 4))
+    monos = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-5, 5),
+                                     st.integers(1, 6)),
+                           min_size=len(monos), max_size=len(monos)))
+    return MPoly(QQ, AV, {e: c for e, c in zip(monos, coeffs) if c})
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=forms(), q=forms(), chart=st.sampled_from((0, 1, 2)))
+def test_dehomogenize_is_substitution(p, q, chart):
+    # the substitution (x, y, z) -> (1, v, w), (v, 1, w), (v, w, 1) through
+    # MPoly.evaluate, an independent oracle; p + q may be inhomogeneous,
+    # and then its colliding terms are summed
+    targets = [MPoly.var(QQ, GERM_VARS, "v"), MPoly.var(QQ, GERM_VARS, "w")]
+    targets.insert(chart, MPoly.const(QQ, GERM_VARS, 1))
+    for h in (p, p + q):
+        assert sis.dehomogenize(h, chart) == h.evaluate(dict(zip(AV, targets)))
 
 
 # ---------------------------------------------------------------------------
