@@ -278,9 +278,8 @@ class MPoly:
         co * C(k, j) * c^(k-j) at var^j.
         """
         c = as_scalar(self.ctx, c)
-        ctx = _join_sc(self.ctx, c)
         if is_zero(c):
-            return self.lift(ctx)
+            return self
         i = self.vars.index(var)
         pows = [Fraction(1)]
         for _ in range(max((e[i] for e in self.terms), default=0)):
@@ -294,14 +293,14 @@ class MPoly:
                 e2 = e[:i] + (j,) + e[i + 1:]
                 terms[e2] = terms.get(e2, 0) + co * s
         terms = {e: co for e, co in terms.items() if not is_zero(co)}
-        return MPoly(ctx, self.vars, terms)
+        return MPoly(self.ctx, self.vars, terms)
 
     def scale_var(self, var, c):
         """Substitute var -> c * var (c a nonzero scalar)."""
         c = as_scalar(self.ctx, c)
         i = self.vars.index(var)
         terms = {e: co * c ** e[i] for e, co in self.terms.items()}
-        return MPoly(_join_sc(self.ctx, c), self.vars, terms)
+        return MPoly(self.ctx, self.vars, terms)
 
     def lift(self, ctx):
         """Reinterpret over a deeper context (coefficients unchanged)."""
@@ -401,12 +400,6 @@ def _join(c1, c2):
     if c2.is_prefix_of(c1):
         return c1
     raise _sc.ContextMismatch(f"incompatible contexts {c1} and {c2}")
-
-
-def _join_sc(ctx, s):
-    if isinstance(s, AlgNum):
-        return _join(ctx, s.ctx)
-    return ctx
 
 
 class RatFunc:

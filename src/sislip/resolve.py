@@ -13,7 +13,8 @@ only on the curve itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalar as _sc
@@ -24,7 +25,6 @@ from .errors import (
     FieldExtensionFailure,
     GenericityAlarm,
     NonReduced,
-    TowerDepthExceeded,
     ZeroPolynomial,
 )
 from .poly import (
@@ -187,7 +187,17 @@ class DualGraph:
 
 
 class Resolution:
-    """Minimal embedded resolution of a tagged product of germ factors."""
+    """Minimal embedded resolution of a tagged product of germ factors.
+
+    The factors must be reduced and pairwise coprime at the origin; this is
+    a precondition, not checked up front.  Callers meet it by construction
+    (``resolve_germ`` validates a bare germ first).  A germ that breaks it
+    never resolves: when the engine gives up at its depth or tower cap, the
+    product is tested and ``NonReduced`` is raised if it has a repeated
+    factor, else the ``FieldExtensionFailure`` stands.  A repeated factor
+    that is a unit at the origin, as in v*(w-1)^2, leaves the germ reduced
+    there, and it resolves.
+    """
 
     def __init__(self, factors, ctx):
         self.base_ctx = ctx
@@ -199,16 +209,22 @@ class Resolution:
         self._step = 0
         self._mult_cache = {}
         self._graph = None
-        product = None
+        order = 0
         for tag, p in self.factors.items():
             if not p or p.order_at_origin() < 1:
                 raise CenterNotOnDivisor(f"factor {tag!r} misses the origin")
-            product = p if product is None else product * p
-        if not is_squarefree(product):
-            raise NonReduced("germ is not reduced")
+            order += p.order_at_origin()
         self.root = None
-        if product.order_at_origin() >= 2:
-            self.root = self._blow(self.factors, ctx, None, None, 0)
+        if order >= 2:
+            try:
+                self.root = self._blow(self.factors, ctx, None, None, 0)
+            except FieldExtensionFailure as exc:
+                # a non-reduced germ keeps a point of multiplicity >= 2 on
+                # every level, so it always ends here; tell it from a
+                # reduced germ that is merely too deep
+                if not is_squarefree(math.prod(self.factors.values())):
+                    raise NonReduced("germ is not reduced") from exc
+                raise
         else:
             # smooth germ: nothing to do; single free arrow by convention
             (tag,) = self.factors.keys()
@@ -378,17 +394,19 @@ class Resolution:
 def resolve_germ(germ, ctx=None, factors=None):
     """Resolve a GermCurve (or raw MPoly); returns a Resolution.
 
-    ``factors`` optionally names the components whose strict-transform
-    branches should be tagged on the arrows; their product must equal the
-    germ up to a unit.
+    A bare germ (no ``factors``) is checked here, once, as a ``GermCurve``:
+    ``CenterNotOnDivisor`` if it misses the origin, then ``NonReduced``.  A
+    ``GermCurve`` was checked when it was built.  ``factors`` optionally
+    names the components whose strict-transform branches should be tagged
+    on the arrows; their product must equal the germ up to a unit, and they
+    must be reduced and pairwise coprime (see ``Resolution``).
     """
-    if isinstance(germ, GermCurve):
-        h, ctx = germ.h, germ.ctx
-    else:
-        h = germ
-        ctx = ctx if ctx is not None else h.ctx
+    if isinstance(germ, GermCurve) or ctx is None:
+        ctx = germ.ctx
     if factors is None:
-        factors = {"h": h}
+        if not isinstance(germ, GermCurve):
+            germ = GermCurve(ctx, germ)
+        factors = {"h": germ.h}
     return Resolution(factors, ctx)
 
 

@@ -1,5 +1,6 @@
 """Generic polar curves: partials, certified samples, branch counts."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from util import linear_change
 
 from sislip import polar, sis
 from sislip.errors import GenericityAlarm
-from sislip.poly import parse_poly
+from sislip.poly import is_squarefree, parse_poly
 
 AV = ("x", "y", "z")
 
@@ -101,6 +102,20 @@ def test_generic_polar_pair_b(s_pair_b):
         for a, _m in p.graph.arrows if not p.graph.vertices[a].is_L
     )
     assert arrow_vertices == [33, 35, 69]
+
+
+def test_polar_germ_reduced_with_local_factors(s_pair_a):
+    # the combined resolution of (tangent cone) * (polar) trusts its factors
+    # to be reduced and coprime; _radical and the mgcd check provide it
+    p = polar.generic_polar(s_pair_a, k=5, seed=0)
+    met = 0
+    for pt in sis.singular_points(s_pair_a):
+        pol, _nloc = polar._local_polar_data(s_pair_a, pt, p.G)
+        if pol is None:
+            continue
+        met += 1
+        assert is_squarefree(math.prod([pol, *pt.local_factors.values()]))
+    assert met
 
 
 def test_sample_multiplicities_bounded_by_partials(s_pair_a):

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sislip import scalar as _sc
-from sislip.errors import CommonComponent, ParseError, UnknownVariable
+from sislip.errors import (
+    CommonComponent,
+    ContextMismatch,
+    ParseError,
+    UnknownVariable,
+)
 from sislip.poly import (
     MPoly,
     _uni_gcd,
@@ -123,6 +128,13 @@ def test_shift_is_translation(p, c, var):
     pr = p.lift(ctx) * (1 - c * r)
     assert pr.shift(var, c * r) == pr.evaluate(
         {**env, var: MPoly.var(ctx, VW, var) + c * r})
+    # results keep p's context; a scalar outside it is refused, not joined
+    assert p.scale_var(var, c).ctx == QQ
+    assert pr.shift(var, c).ctx == pr.scale_var(var, c * r).ctx == ctx
+    with pytest.raises(ContextMismatch):
+        p.shift(var, c + r)
+    with pytest.raises(ContextMismatch):
+        p.scale_var(var, r)
 
 
 def test_exact_div_long_division_oracle():

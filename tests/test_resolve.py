@@ -6,7 +6,12 @@ import pytest
 from util import binomial_resolution_oracle, intersection_matrix, \
     is_negative_definite
 
-from sislip.errors import CenterNotOnDivisor, CommonComponent, NonReduced
+from sislip.errors import (
+    CenterNotOnDivisor,
+    CommonComponent,
+    FieldExtensionFailure,
+    NonReduced,
+)
 from sislip.poly import parse_poly
 from sislip.resolve import (
     GermCurve,
@@ -15,7 +20,7 @@ from sislip.resolve import (
     intersection_mult,
     resolve_germ,
 )
-from sislip.scalar import QQ
+from sislip.scalar import QQ, extend_field
 
 VW = ("v", "w")
 
@@ -106,6 +111,29 @@ def test_nonreduced_rejected():
         resolve_germ(P("w^2"))
     with pytest.raises(CenterNotOnDivisor):
         resolve_germ(P("w + 1"))
+    # factor dicts are trusted up front; a repeated factor is diagnosed when
+    # the engine gives up, so the error is still NonReduced
+    with pytest.raises(NonReduced):
+        resolve_germ(P("w^2"), factors={"a": P("w"), "b": P("w")})
+    with pytest.raises(NonReduced):
+        resolve_germ(P("w^2"), factors={"h": P("w^2")})
+    ctx = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    a = parse_poly("(w^2 - a1*v^3)^2", ctx=ctx, vars=VW)
+    b = parse_poly("w + v", ctx=ctx, vars=VW)
+    with pytest.raises(NonReduced):
+        resolve_germ(a * b, ctx, factors={"a": a, "b": b})
+    # a reduced germ past the depth cap is not misreported as non-reduced
+    with pytest.raises(FieldExtensionFailure):
+        resolve_germ(P("v^401 + w^2"))
+    # a repeated factor that is a unit at the origin leaves the germ reduced
+    # there: as a factor it resolves to one free arrow (the branch v = 0),
+    # while the bare germ is checked whole, up front
+    with pytest.raises(NonReduced):
+        resolve_germ(P("v*(w-1)^2"))
+    res = resolve_germ(P("v*(w-1)^2"), factors={"a": P("v*(w-1)^2")})
+    g = res.dual_graph()
+    assert not g.vertices
+    assert [(arr.vertex, arr.tag) for arr in g.arrows] == [(None, "a")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Surface pipeline: validation, singular points, decorated graphs, rates."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from sislip.errors import (
     TangentConeNotReduced,
     ZeroOnComponent,
 )
-from sislip.poly import MPoly, parse_poly
+from sislip.poly import MPoly, is_squarefree, mgcd, parse_poly
 from sislip.resolve import GERM_VARS, detect_nodes
 from sislip.scalar import QQ
 
@@ -112,6 +113,20 @@ def test_two_cubics_point_classes(s_two_cubics):
     deep = next(p for p in pts if not p.is_odp)
     assert deep.chart == 2
     assert sorted(deep.branch_names) == ["C1", "C1", "C2", "C2"]
+
+
+@pytest.mark.parametrize("surface", ["s_cubic", "s_two_cubics", "s_pair_a"])
+def test_local_factors_reduced_and_coprime(surface, request):
+    # the resolution engine trusts its factors to be reduced and pairwise
+    # coprime; validate() proves it for the tangent cone over Q, and the
+    # localization (field extension, translation) must preserve it
+    s = request.getfixturevalue(surface)
+    for pt in sis.singular_points(s):
+        locs = list(pt.local_factors.values())
+        assert is_squarefree(math.prod(locs))
+        for i, p in enumerate(locs):
+            for q in locs[i + 1:]:
+                assert mgcd(p, q).total_degree() == 0
 
 
 # ---------------------------------------------------------------------------
