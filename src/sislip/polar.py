@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GenericityAlarm, ZeroOnComponent
-from .poly import MPoly, exact_div, mgcd, multiplicity_of_factor
+from .poly import MPoly, exact_div, mgcd
 from .resolve import resolve_germ
 from .sis import (
     AMBIENT_VARS,
@@ -116,7 +116,7 @@ class PolarSample:
     agreeing: int               # how many samples attained the minimum
 
 
-def extended_polar_graph(s, G):
+def extended_polar_graph(s, G, l_mults):
     """Resolve the polar's base points on the exceptional divisor.
 
     Rebuilds the inner decorated graph from the combined resolution of
@@ -124,7 +124,8 @@ def extended_polar_graph(s, G):
     extra blow-ups forced by the polar show up as new vertices with updated
     self-intersections.  Every strict-transform branch of the polar becomes
     one arrow; branches through the L-curves away from the singular points
-    are counted by the principal-divisor identity.
+    are counted by the principal-divisor identity.  `l_mults` maps each
+    component name to the multiplicity of G along its L-curve.
 
     Returns (graph, extra_vertex_count, l_arrow_counts).
     """
@@ -180,11 +181,7 @@ def extended_polar_graph(s, G):
     comp_of = dict(components(s))
     for v in graph.l_vertices():
         comp = comp_of[v.component]
-        chart = next(
-            c for c in (0, 1, 2) if dehomogenize(comp, c).total_degree() > 0
-        )
-        N, _K = _pullback_numerator(s, G, chart)
-        v.mult["polar"] = multiplicity_of_factor(N, dehomogenize(comp, chart))
+        v.mult["polar"] = l_mults[v.component]
         v.mult["l"] = 1
         v.self_int = -(comp.total_degree() + sum(
             graph.vertices[u].mult["l"] for u in graph.neighbors(v.id)
@@ -230,7 +227,8 @@ def generic_polar(s, k=DEFAULT_SAMPLES, seed=0):
     idx = good[0]
     for vid, m in mins.items():
         base.vertices[vid].mult["polar"] = m
-    graph, extra, l_counts = extended_polar_graph(s, gs[idx])
+    l_mults = {v.component: mins[v.id] for v in base.l_vertices()}
+    graph, extra, l_counts = extended_polar_graph(s, gs[idx], l_mults)
     return PolarSample(triples[idx], gs[idx], mins, base, graph, extra,
                        l_counts, len(good))
 

@@ -7,10 +7,10 @@ Monomial order (graded lex) is fixed for printing and exact division only.
 sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
 QQ becomes an element of sympy's sparse `PolyRing(ZZ)` built from its term
 dict, scaled by the lcm of its denominators.  Resultants, multivariate and
-univariate gcds and factorizations with coefficients in QQ run there.
-Everything over a number field stays in this module: the PRS gcd, Euclid on
-coefficient lists, Trager's factorization and the Bareiss resultant over
-Q(a).
+univariate gcds and factorizations with coefficients in QQ run there, and so
+do the products behind `sis._pullback_numerator`.  Everything over a number
+field stays in this module: the PRS gcd, Euclid on coefficient lists,
+Trager's factorization and the Bareiss resultant over Q(a).
 
 `resultant` returns the exact Sylvester determinant in both cases.  sympy
 swaps the operands when the first has the smaller degree but omits the
@@ -20,6 +20,7 @@ sign itself.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -655,35 +656,54 @@ def from_zz(a, vars, first=None, scale=Fraction(1)):
 # ---------------------------------------------------------------------------
 # exact division, gcd, resultant
 
+def _heap_key(e):
+    # graded lex, largest first under heapq's min-order
+    return (-sum(e), tuple(-a for a in e))
+
+
 def exact_div(p, q):
-    """Quotient p/q when q divides p exactly; None otherwise."""
+    """Quotient p/q when q divides p exactly; None otherwise.
+
+    Division in graded lex order with a heap of remainder exponents.  Graded
+    lex is a monomial order, so every term a step adds to the remainder is
+    smaller than the lead it cancels: the heap's top is the remainder's lead
+    once entries whose term has since cancelled are skipped.  Quotient terms
+    come out from the largest down.
+    """
     if not q:
         raise DivisionByZero("exact division by zero polynomial")
     if not p:
         return p
     ctx = _join(p.ctx, q.ctx)
-
-    def key(e):
-        return (sum(e), e)
-
-    q_lead = max(q.terms, key=key)
+    q_lead = min(q.terms, key=_heap_key)
     q_lc = q.terms[q_lead]
+    q_tail = [(e, co) for e, co in q.terms.items() if e != q_lead]
     rem = dict(p.terms)
+    heap = [(_heap_key(e), e) for e in rem]
+    heapq.heapify(heap)
     quot = {}
-    while rem:
-        r_lead = max(rem, key=key)
+    while heap:
+        r_lead = heapq.heappop(heap)[1]
+        lc = rem.pop(r_lead, None)
+        if lc is None:
+            continue  # stale: this term cancelled after it was pushed
         diff = tuple(a - b for a, b in zip(r_lead, q_lead))
         if any(d < 0 for d in diff):
             return None
-        c = scalar_div(rem[r_lead], q_lc)
+        c = scalar_div(lc, q_lc)
         quot[diff] = c
-        for e, co in q.terms.items():
+        for e, co in q_tail:
             e2 = tuple(a + b for a, b in zip(diff, e))
-            s = rem.get(e2, 0) - c * co
-            if is_zero(s):
-                rem.pop(e2, None)
+            old = rem.get(e2)
+            if old is None:
+                rem[e2] = -c * co
+                heapq.heappush(heap, (_heap_key(e2), e2))
             else:
-                rem[e2] = s
+                s = old - c * co
+                if is_zero(s):
+                    del rem[e2]
+                else:
+                    rem[e2] = s
     return MPoly(ctx, p.vars, quot)
 
 

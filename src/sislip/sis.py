@@ -10,6 +10,7 @@ plane resolutions glued to one L-vertex per component of C.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .poly import (
     _uni_gcd,
     factor_coeff_list,
     factor_qq,
+    from_zz,
     is_squarefree,
     mgcd,
     multiplicity_of_factor,
@@ -37,6 +39,7 @@ from .poly import (
     poly_from_coeffs,
     resultant,
     squarefree_part_coeffs,
+    to_zz,
     univariate_coeffs,
 )
 from .resolve import (
@@ -442,16 +445,24 @@ def _pullback_numerator(s, G, chart):
     index), the exceptional coordinate satisfies t = f~/g~ on the surface, so
     G pulls back to [sum_k f~^k g~^(K-k) G_k~] / g~^K with G_k the
     homogeneous parts of G.
+
+    The sum runs in PolyRing(ZZ) over one common denominator: with
+    df * f~, dg * g~ and d_k * G_k~ integral, term k is divided by
+    df^k * dg^(K-k) * d_k, and N is the integral sum over their lcm.
     """
     key = (G, chart)
     if key in s._pullbacks:
         return s._pullbacks[key]
-    ft = dehomogenize(s.f, chart)
-    gt = dehomogenize(s.g, chart)
+    df, ft = to_zz(dehomogenize(s.f, chart))
+    dg, gt = to_zz(dehomogenize(s.g, chart))
     K = G.total_degree()
-    N = MPoly.zero(QQ, GERM_VARS)
+    summands = []  # (denominator, integral numerator) of term k
     for k, part in G.homogeneous_parts().items():
-        N = N + ft ** k * gt ** (K - k) * dehomogenize(part, chart)
+        dk, gk = to_zz(dehomogenize(part, chart))
+        summands.append((df ** k * dg ** (K - k) * dk, ft ** k * gt ** (K - k) * gk))
+    den = math.lcm(*(d for d, _ in summands))
+    total = sum((den // d * a for d, a in summands), ft.ring.zero)
+    N = from_zz(total, GERM_VARS, scale=Fraction(1, den))
     if not N:
         raise ZeroOnComponent("function vanishes identically on the surface")
     s._pullbacks[key] = (N, K)

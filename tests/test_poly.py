@@ -144,6 +144,29 @@ def test_exact_div_long_division_oracle():
     assert exact_div(P("v^5 - w^5 + 1"), P("v - w")) is None
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=polys, b=polys, c=polys, k=st.integers(0, 3))
+def test_exact_div_inverts_product(a, b, c, k):
+    ctx = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    r = ctx.gen()
+    # over Q(sqrt 2): w + r*b is nonconstant, and a*(1 - r) has algebraic
+    # coefficients whenever a is nonzero
+    ar, br = a.lift(ctx) * (1 - r), b.lift(ctx) * r + MPoly.var(ctx, VW, "w")
+    # (b + c) * (b - c) = b^2 - c^2 loses its cross terms, so dividing it
+    # by b - c puts terms into the remainder that the dividend lacks
+    cases = [(a, b), (a * (b + c), b - c), (ar, br), (ar * (br + c), br - c)]
+    for u, d in cases:
+        if not d:
+            continue
+        q = exact_div(u * d, d)
+        assert q == u and q.ctx == u.ctx
+        if d.total_degree() == 0:
+            continue
+        assert exact_div(u * d + 1, d) is None
+        if u:
+            assert multiplicity_of_factor(u * d ** k, d) >= k
+
+
 def test_multiplicity_of_factor():
     p = P("(v+w)^3 * (v-w)") * P("v")
     assert multiplicity_of_factor(p, P("v+w")) == 3

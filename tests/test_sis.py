@@ -243,6 +243,25 @@ def test_multiplicity_table_of_coordinate(s_cubic):
                        (False, -1): 6}
 
 
+@pytest.mark.parametrize("G", [
+    "3/4*x^2 - 1/2*y*z + 5/6*z^3",
+    "2/3 + 1/5*x*y^2 - 7/4*z^4",
+    "1/2*x",
+])
+def test_pullback_numerator_matches_mpoly_sum(G):
+    # non-integer coefficients in f, g and G pin the common denominator
+    s = sis.from_polynomial(A("1/2*y^3 + 3/4*x*z^2 - 2/3*x^4"))
+    G = A(G)
+    K = G.total_degree()
+    for chart in (0, 1, 2):
+        ft = sis.dehomogenize(s.f, chart)
+        gt = sis.dehomogenize(s.g, chart)
+        oracle = MPoly.zero(QQ, GERM_VARS)
+        for k, part in G.homogeneous_parts().items():
+            oracle = oracle + ft ** k * gt ** (K - k) * sis.dehomogenize(part, chart)
+        assert sis._pullback_numerator(s, G, chart) == (oracle, K)
+
+
 def test_multiplicity_table_rejects_surface_equation(s_cubic):
     F = s_cubic.f - s_cubic.g
     g = sis.build_gamma(s_cubic, "min")
