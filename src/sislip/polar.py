@@ -16,19 +16,18 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GenericityAlarm, ZeroOnComponent
+from .errors import GenericityAlarm
 from .poly import MPoly, exact_div, mgcd
 from .resolve import resolve_germ
 from .sis import (
     AMBIENT_VARS,
     DecoratedGraph,
     DVertex,
-    _pullback_numerator,
     build_gamma,
     components,
-    dehomogenize,
     inner_rates,
     l_node_self_int,
+    local_numerator,
     multiplicity_table,
     point_resolution,
     singular_points,
@@ -76,18 +75,11 @@ def _radical(p):
 
 def _local_polar_data(s, pt, G):
     """(reduced local polar germ or None, pullback numerator at the point)."""
-    N, _K = _pullback_numerator(s, G, pt.chart)
-    Nloc = N.lift(pt.ctx).shift("v", pt.coords[0]).shift("w", pt.coords[1])
-    if not Nloc:
-        raise ZeroOnComponent("polar sample vanishes identically on the surface")
+    Nloc = local_numerator(s, pt, G)
     # the numerator carries the tangent-cone components (the L-curves) as
     # factors; the strict transform of the polar is what remains
     strict = Nloc
-    for _name, comp in components(s):
-        cloc = dehomogenize(comp, pt.chart).lift(pt.ctx) \
-            .shift("v", pt.coords[0]).shift("w", pt.coords[1])
-        if cloc.total_degree() == 0:
-            continue
+    for cloc in pt.components.values():
         while True:
             q = exact_div(strict, cloc)
             if q is None:

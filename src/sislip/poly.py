@@ -2,6 +2,8 @@
 
 Terms are stored as a dict mapping exponent tuples to nonzero scalars.  The
 variable tuple is part of the value; mixed-variable arithmetic is an error.
+Operands over two fields of one tower meet in the deeper one (`scalar.join`);
+translating a polynomial by an irrational point needs a `lift` first.
 Monomial order (graded lex) is fixed for printing and exact division only.
 
 sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
@@ -34,11 +36,10 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .scalar import QQ, AlgNum, as_scalar, is_zero, scalar_div
+from .scalar import QQ, AlgNum, as_scalar, is_zero, join, scalar_div
 
 __all__ = [
     "MPoly",
-    "RatFunc",
     "parse_poly",
     "resultant",
     "mgcd",
@@ -78,18 +79,6 @@ class MPoly:
         e = [0] * len(vars)
         e[i] = 1
         return cls(ctx, vars, {tuple(e): Fraction(1)})
-
-    @classmethod
-    def from_terms(cls, ctx, vars, items):
-        terms = {}
-        for e, c in items:
-            if e in terms:
-                c = terms[e] + c
-            if is_zero(c):
-                terms.pop(e, None)
-            else:
-                terms[e] = c
-        return cls(ctx, vars, terms)
 
     # -- basic protocol -----------------------------------------------------
 
@@ -131,7 +120,7 @@ class MPoly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return MPoly(_join(self.ctx, other.ctx), self.vars, terms)
+        return MPoly(join(self.ctx, other.ctx), self.vars, terms)
 
     __radd__ = __add__
 
@@ -152,8 +141,6 @@ class MPoly:
             if is_zero(other):
                 return MPoly.zero(self.ctx, self.vars)
             return MPoly(self.ctx, self.vars, {e: c * other for e, c in self.terms.items()})
-        if isinstance(other, RatFunc):
-            return RatFunc(self * other.num, other.den)
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check(other)
@@ -166,7 +153,7 @@ class MPoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        return MPoly(_join(self.ctx, other.ctx), self.vars, terms)
+        return MPoly(join(self.ctx, other.ctx), self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -317,17 +304,15 @@ class MPoly:
         return MPoly(self.ctx, tuple(new_vars), self.terms)
 
     def evaluate(self, env):
-        """Evaluate with variables bound to scalars, MPoly or RatFunc values.
+        """Evaluate with variables bound to scalars or MPoly values.
 
-        All polynomial/rational values must share one variable tuple; the
-        result is an MPoly (or RatFunc if any binding is a RatFunc).
+        All MPoly values must share one variable tuple; the result is an
+        MPoly in those variables, or a scalar if every binding is a scalar.
         """
         target = None
         for v in env.values():
             if isinstance(v, MPoly):
                 target = (v.ctx, v.vars)
-            elif isinstance(v, RatFunc):
-                target = (v.num.ctx, v.num.vars)
         if target is None:
             # pure scalar evaluation
             total = Fraction(0)
@@ -391,62 +376,6 @@ def _scalar_text(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return str(c.numerator)
     return str(c)
-
-
-def _join(c1, c2):
-    if c1 == c2:
-        return c1
-    if c1.is_prefix_of(c2):
-        return c2
-    if c2.is_prefix_of(c1):
-        return c1
-    raise _sc.ContextMismatch(f"incompatible contexts {c1} and {c2}")
-
-
-class RatFunc:
-    """num/den with den not identically zero.
-
-    No gcd reduction is performed; consumers take valuation differences, which
-    are insensitive to common factors.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = MPoly.const(num.ctx, num.vars, 1)
-        if not den:
-            raise DivisionByZero("rational function with zero denominator")
-        self.num = num
-        self.den = den
-
-    def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return RatFunc(self.num * other.num, self.den * other.den)
-        return RatFunc(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc(self.num._coerce(other))
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc(self.num._coerce(other))
-        return self + (-other)
-
-    def __pow__(self, n):
-        return RatFunc(self.num ** n, self.den ** n)
-
-    def __repr__(self):
-        return f"({self.num})/({self.den})"
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +603,7 @@ def exact_div(p, q):
         raise DivisionByZero("exact division by zero polynomial")
     if not p:
         return p
-    ctx = _join(p.ctx, q.ctx)
+    ctx = join(p.ctx, q.ctx)
     q_lead = min(q.terms, key=_heap_key)
     q_lc = q.terms[q_lead]
     q_tail = [(e, co) for e, co in q.terms.items() if e != q_lead]
@@ -748,13 +677,13 @@ def mgcd(p, q):
         if any(e[i] for e in p.terms) or any(e[i] for e in q.terms)
     ]
     if not used:
-        return MPoly.const(_join(p.ctx, q.ctx), p.vars, 1)
+        return MPoly.const(join(p.ctx, q.ctx), p.vars, 1)
     var = p.vars[used[-1]]
     if len(used) == 1:
         a = univariate_coeffs(p, var)
         b = univariate_coeffs(q, var)
         g = _uni_gcd(a, b)
-        return poly_from_coeffs(g, _join(p.ctx, q.ctx), p.vars, var)
+        return poly_from_coeffs(g, join(p.ctx, q.ctx), p.vars, var)
     # multivariate: primitive PRS in `var`
     cp, pp = _content_primitive(p, var)
     cq, pq = _content_primitive(q, var)
@@ -866,7 +795,7 @@ def resultant(p, q, var):
     m, n = p.degree_in(var), q.degree_in(var)
     if m == 0 and n == 0:
         raise ValueError(f"neither operand involves {var}")
-    ctx = _join(p.ctx, q.ctx)
+    ctx = join(p.ctx, q.ctx)
     vars = p.vars
     if m == 0:
         return p ** n

@@ -29,8 +29,6 @@ from .errors import (
 )
 from .poly import (
     MPoly,
-    RatFunc,
-    _join,
     _uni_gcd,
     factor_coeff_list,
     is_squarefree,
@@ -40,7 +38,7 @@ from .poly import (
     squarefree_part_coeffs,
     univariate_coeffs,
 )
-from .scalar import QQ, FieldCtx, is_zero
+from .scalar import QQ, FieldCtx, is_zero, join
 
 GERM_VARS = ("v", "w")
 MAX_BLOWUP_DEPTH = 200
@@ -335,28 +333,19 @@ class Resolution:
 
     def track(self, g):
         """Valuation m_E(g) for every curve E; returns {rep id: int}."""
-        return self._track_full(g)[0]
-
-    def center_orders(self, g):
-        """Order of the reduced transform of g at each blow-up center."""
-        return self._track_full(g)[1]
-
-    def _track_full(self, g):
         if g in self._mult_cache:
             return self._mult_cache[g]
-        out, orders = {}, {}
+        out = {}
         if self.root is not None:
             if not g:
                 raise ZeroPolynomial("valuation of the zero germ")
-            self._walk(self.root, g.lift(_join(g.ctx, self.base_ctx)),
-                       None, None, out, orders)
-        self._mult_cache[g] = (out, orders)
-        return out, orders
+            self._walk(self.root, g.lift(join(g.ctx, self.base_ctx)),
+                       None, None, out)
+        self._mult_cache[g] = out
+        return out
 
-    def _walk(self, node, g_red, a_id, b_id, out, orders):
-        mu = g_red.order_at_origin() if g_red else 0
-        orders[node.new_id] = mu
-        m = mu
+    def _walk(self, node, g_red, a_id, b_id, out):
+        m = g_red.order_at_origin() if g_red else 0
         if a_id is not None:
             m += out[a_id]
         if b_id is not None:
@@ -366,7 +355,7 @@ class Resolution:
             if chart == "F":
                 big, _ = _strip_v(_subst_f(g_red))
                 if is_zero(c):
-                    self._walk(child, big, node.new_id, b_id, out, orders)
+                    self._walk(child, big, node.new_id, b_id, out)
                 else:
                     big = big.lift(ctx2).shift("w", c)
                     if b_id is not None:
@@ -375,10 +364,10 @@ class Resolution:
                             ctx2, GERM_VARS, c
                         )
                         big = big * unit ** out[b_id]
-                    self._walk(child, big, node.new_id, None, out, orders)
+                    self._walk(child, big, node.new_id, None, out)
             else:
                 big, _ = _strip_v(_subst_i(g_red))
-                self._walk(child, big, node.new_id, a_id, out, orders)
+                self._walk(child, big, node.new_id, a_id, out)
 
     def mult_along(self, curve, g):
         """Valuation along one curve; accepts expanded or representative ids."""
@@ -386,8 +375,6 @@ class Resolution:
         rid = graph.rep_of.get(curve, curve)
         if rid not in self.curves:
             raise CurveUnknown(f"no exceptional curve {curve!r}")
-        if isinstance(g, RatFunc):
-            return self.track(g.num)[rid] - self.track(g.den)[rid]
         return self.track(g)[rid]
 
 
@@ -448,7 +435,7 @@ def intersection_mult(h1, h2):
         raise CommonComponent("germs share a component")
     if f.order_at_origin() == 0 or g.order_at_origin() == 0:
         return 0
-    ctx = _join(f.ctx, g.ctx)
+    ctx = join(f.ctx, g.ctx)
     v = MPoly.var(ctx, f.vars, "v")
     w = MPoly.var(ctx, f.vars, "w")
     for lam in range(_SHEAR_LIMIT):

@@ -98,14 +98,15 @@ def ctx_of(s):
     return QQ
 
 
-def join_ctx(a, b):
+def join(c1, c2):
     """Deeper of two compatible contexts; error if neither extends the other."""
-    ca, cb = ctx_of(a), ctx_of(b)
-    if ca.is_prefix_of(cb):
-        return cb
-    if cb.is_prefix_of(ca):
-        return ca
-    raise ContextMismatch(f"incompatible contexts {ca} and {cb}")
+    if c1 == c2:
+        return c1
+    if c1.is_prefix_of(c2):
+        return c2
+    if c2.is_prefix_of(c1):
+        return c1
+    raise ContextMismatch(f"incompatible contexts {c1} and {c2}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ class AlgNum:
         """Return (a_coeffs, b_coeffs, ctx) both as coeff lists at one level."""
         if isinstance(other, int):
             other = Fraction(other)
-        ctx = join_ctx(self, other)
+        ctx = join(self.ctx, ctx_of(other))
         return _as_coeffs(self, ctx), _as_coeffs(other, ctx), ctx
 
     def __add__(self, other):

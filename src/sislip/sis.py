@@ -32,7 +32,6 @@ from .poly import (
     factor_coeff_list,
     factor_qq,
     from_zz,
-    is_squarefree,
     mgcd,
     multiplicity_of_factor,
     parse_poly,
@@ -83,11 +82,10 @@ def validate(f_d, f_dplus1):
         raise DegreeMismatch(
             f"degrees must be consecutive, got {d} and {f_dplus1.total_degree()}"
         )
-    if not is_squarefree(f_d):
-        raise TangentConeNotReduced("tangent cone is not reduced")
+    s = SISPresentation(f_d, -f_dplus1, d)
+    components(s)  # raises TangentConeNotReduced
     if mgcd(f_d, f_dplus1).total_degree() > 0:
         raise NotSuperisolated("the two forms share a component")
-    s = SISPresentation(f_d, -f_dplus1, d)
     for pt in singular_points(s):
         if is_zero(pt.unit.terms.get((0, 0), Fraction(0))):
             raise NotSuperisolated(
@@ -108,12 +106,16 @@ def from_polynomial(F):
 
 
 def components(s):
-    """Irreducible components of the tangent cone, as (name, factor) pairs."""
+    """Irreducible components of the tangent cone, as (name, factor) pairs.
+
+    Raises TangentConeNotReduced if a component is repeated.
+    """
     if s._components is None:
         unit, facs = factor_qq(s.f)
         out = []
         for i, (p, k) in enumerate(facs):
-            assert k == 1  # f is squarefree
+            if k > 1:
+                raise TangentConeNotReduced("tangent cone is not reduced")
             if i == 0 and unit != 1:
                 p = p * unit
             out.append((f"C{i + 1}", p))
@@ -146,11 +148,20 @@ class SingPoint:
     chart: int
     coords: tuple            # affine coordinates in the chart
     class_size: int
-    h_local: MPoly           # tangent cone germ at the point, in (v, w)
-    unit: MPoly              # degree-(d+1) form at the point (unit iff SIS)
-    local_factors: dict      # component name -> local germ (order >= 1 only)
-    is_odp: bool
-    branch_names: list       # component names of the branches, with repetition
+    # the local data is filled in by _make_point, all of it through localize
+    h_local: MPoly = field(init=False)     # tangent cone germ, in (v, w)
+    unit: MPoly = field(init=False)        # degree-(d+1) form (unit iff SIS)
+    components: dict = field(init=False)   # name -> non-constant local germ
+    local_factors: dict = field(init=False)  # the components of order >= 1
+    is_odp: bool = field(init=False)
+    branch_names: list = field(init=False)  # one component name per branch
+    _numerators: dict = field(default_factory=dict, init=False, repr=False)
+
+    def localize(self, p):
+        """The chart polynomial p over the point's field, moved so that the
+        point sits at the origin of (v, w)."""
+        c1, c2 = self.coords
+        return p.lift(self.ctx).shift("v", c1).shift("w", c2)
 
 
 def singular_points(s):
@@ -243,19 +254,21 @@ def _affine_singularities(f0):
 
 
 def _make_point(s, chart, coords, ctx, size):
-    c1, c2 = coords
-    h = dehomogenize(s.f, chart).lift(ctx).shift("v", c1).shift("w", c2)
-    unit = dehomogenize(s.g, chart).lift(ctx).shift("v", c1).shift("w", c2)
-    local = {}
-    branches = []
+    pt = SingPoint(ctx, chart, coords, size)
+    pt.h_local = pt.localize(dehomogenize(s.f, chart))
+    pt.unit = pt.localize(dehomogenize(s.g, chart))
+    pt.components = {}
     for name, comp in components(s):
-        loc = dehomogenize(comp, chart).lift(ctx).shift("v", c1).shift("w", c2)
-        if loc and loc.total_degree() > 0 and loc.order_at_origin() >= 1:
-            local[name] = loc
-            branches.extend([name] * loc.order_at_origin())
-    mult = h.order_at_origin()
-    odp = mult == 2 and _distinct_tangent_lines(h) == 2
-    return SingPoint(ctx, chart, (c1, c2), size, h, unit, local, odp, branches)
+        loc = pt.localize(dehomogenize(comp, chart))
+        if loc.total_degree() > 0:
+            pt.components[name] = loc
+    pt.local_factors = {name: loc for name, loc in pt.components.items()
+                        if loc.order_at_origin() >= 1}
+    pt.branch_names = [name for name, loc in pt.local_factors.items()
+                       for _ in range(loc.order_at_origin())]
+    h = pt.h_local
+    pt.is_odp = h.order_at_origin() == 2 and _distinct_tangent_lines(h) == 2
+    return pt
 
 
 def point_resolution(s, index):
@@ -370,25 +383,6 @@ def l_node_self_int(graph, s):
     return graph
 
 
-def plane_self_int(s, component_name, mode="min"):
-    """Self-intersection of the component's strict transform inside the
-    blown-up projective plane: deg^2 minus the squared multiplicities at all
-    infinitely-near centers on the component."""
-    comp = dict(components(s))[component_name]
-    deg = comp.total_degree()
-    total = deg * deg
-    for ip, pt in enumerate(singular_points(s)):
-        if component_name not in pt.local_factors:
-            continue
-        if mode == "min" and pt.is_odp:
-            continue
-        res = point_resolution(s, ip)
-        orders = res.center_orders(pt.local_factors[component_name])
-        for rid, mu in orders.items():
-            total -= pt.class_size * res.curves[rid].ratio * mu * mu
-    return total
-
-
 # ---------------------------------------------------------------------------
 # inner rates
 
@@ -465,8 +459,16 @@ def _pullback_numerator(s, G, chart):
     N = from_zz(total, GERM_VARS, scale=Fraction(1, den))
     if not N:
         raise ZeroOnComponent("function vanishes identically on the surface")
-    s._pullbacks[key] = (N, K)
-    return N, K
+    s._pullbacks[key] = N
+    return N
+
+
+def local_numerator(s, pt, G):
+    """The pullback numerator of G moved to the singular point pt, once per
+    (G, point)."""
+    if G not in pt._numerators:
+        pt._numerators[G] = pt.localize(_pullback_numerator(s, G, pt.chart))
+    return pt._numerators[G]
 
 
 def multiplicity_table(s, G, graph, name=None):
@@ -481,17 +483,12 @@ def multiplicity_table(s, G, graph, name=None):
                 c for c in (0, 1, 2)
                 if dehomogenize(comp, c).total_degree() > 0
             )
-            N, _K = _pullback_numerator(s, G, chart)
+            N = _pullback_numerator(s, G, chart)
             out[v.id] = multiplicity_of_factor(N, dehomogenize(comp, chart))
         else:
             pt = singular_points(s)[v.point]
             res = point_resolution(s, v.point)
-            N, _K = _pullback_numerator(s, G, pt.chart)
-            c1, c2 = pt.coords
-            Nloc = N.lift(pt.ctx).shift("v", c1).shift("w", c2)
-            if not Nloc:
-                raise ZeroOnComponent("function vanishes identically on the surface")
-            out[v.id] = res.track(Nloc)[v.local_id]
+            out[v.id] = res.track(local_numerator(s, pt, G))[v.local_id]
     if name is not None:
         for vid, m in out.items():
             graph.vertices[vid].mult[name] = m

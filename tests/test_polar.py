@@ -118,6 +118,22 @@ def test_polar_germ_reduced_with_local_factors(s_pair_a):
     assert met
 
 
+def test_numerator_localized_once_per_sample_and_point():
+    # a fresh surface: the session fixtures keep the numerators of every
+    # sample other tests drew
+    s = sis.from_polynomial(A("(y^3 - z^2*x)*(y^3 + z^2*x) + (x + y + z)^7"))
+    k = 5
+    p = polar.generic_polar(s, k=k, seed=0)
+    # generic_polar ran extended_polar_graph on one of its k samples
+    counts = [len(pt._numerators) for pt in sis.singular_points(s)]
+    assert counts == [k] * len(counts)
+    assert all(p.G in pt._numerators for pt in sis.singular_points(s))
+    polar.extended_polar_graph(s, p.G, {
+        v.component: p.mults[v.id] for v in p.base_graph.l_vertices()
+    })
+    assert [len(pt._numerators) for pt in sis.singular_points(s)] == counts
+
+
 def test_sample_multiplicities_bounded_by_partials(s_pair_a):
     g = inner_graph(s_pair_a)
     tables = polar.partials_table(s_pair_a, g)

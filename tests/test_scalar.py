@@ -17,7 +17,7 @@ from sislip.scalar import (
     as_scalar,
     extend_field,
     is_zero,
-    join_ctx,
+    join,
     make_algnum,
     scalar_div,
     scalar_inv,
@@ -92,12 +92,12 @@ def test_division_by_zero():
 
 def test_join_ctx():
     ctx = sqrt2_ctx()
-    r = ctx.gen()
-    assert join_ctx(Fraction(1, 2), r) == ctx
-    assert join_ctx(r, Fraction(3)) == ctx
+    assert join(QQ, ctx) == ctx
+    assert join(ctx, QQ) == ctx
+    assert join(ctx, ctx) == ctx
     other = extend_field(QQ, [Fraction(-3), Fraction(0), Fraction(1)])
     with pytest.raises(ContextMismatch):
-        join_ctx(r, other.gen())
+        join(ctx, other)
 
 
 @settings(max_examples=100)

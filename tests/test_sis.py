@@ -48,8 +48,15 @@ def test_validate_rejects_bad_degrees():
 
 
 def test_validate_rejects_nonreduced_cone():
-    with pytest.raises(TangentConeNotReduced):
-        sis.validate(A("x^2*y"), A("x^4 + y^4 + z^4"))
+    for f_d, f_dplus1 in [
+        ("x^2*y", "x^4 + y^4 + z^4"),
+        # non-reduced and sharing a component with f_{d+1}: reducedness first
+        ("(x + y)^2*z", "(x + y)*x^3"),
+        # a constant content does not hide the repeated factor
+        ("2*(x + y)^2*z", "x^4 + y^4 + z^4"),
+    ]:
+        with pytest.raises(TangentConeNotReduced):
+            sis.validate(A(f_d), A(f_dplus1))
 
 
 def test_validate_rejects_shared_component():
@@ -127,6 +134,40 @@ def test_local_factors_reduced_and_coprime(surface, request):
         for i, p in enumerate(locs):
             for q in locs[i + 1:]:
                 assert mgcd(p, q).total_degree() == 0
+
+
+@pytest.fixture(scope="module")
+def localize_points():
+    """A rational point, and the Q(a) point class of four conjugate points
+    where two conics meet."""
+    rational = sis.SingPoint(QQ, 0, (Fraction(2, 3), Fraction(-5, 4)), 1)
+    s = sis.from_polynomial(
+        A("(y*z - x^2)*(x*z - y^2 + 3*z^2) + (x + y + z)^5"))
+    (conjugate,) = sis.singular_points(s)
+    assert conjugate.ctx.degree() == 4
+    return rational, conjugate
+
+
+vw_polys = st.builds(
+    lambda terms: MPoly(QQ, GERM_VARS, {e: c for e, c in terms.items() if c}),
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+        max_size=6,
+    ),
+)
+
+
+@settings(max_examples=30)
+@given(p=vw_polys)
+def test_localize_is_translation(localize_points, p):
+    for pt in localize_points:
+        v = MPoly.var(pt.ctx, GERM_VARS, "v")
+        w = MPoly.var(pt.ctx, GERM_VARS, "w")
+        c1, c2 = pt.coords
+        loc = pt.localize(p)
+        assert loc.ctx == pt.ctx
+        assert loc == p.lift(pt.ctx).evaluate({"v": v + c1, "w": w + c2})
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +256,6 @@ def test_graphs_negative_definite(s_cubic, s_two_cubics):
             assert is_negative_definite(M)
 
 
-def test_plane_self_int(s_cubic):
-    assert sis.plane_self_int(s_cubic, "C1") == 3
-
-
 def test_edge_multiplicity_is_one(s_two_cubics):
     g = sis.build_gamma(s_two_cubics, "inner")
     seen = {}
@@ -259,7 +296,7 @@ def test_pullback_numerator_matches_mpoly_sum(G):
         oracle = MPoly.zero(QQ, GERM_VARS)
         for k, part in G.homogeneous_parts().items():
             oracle = oracle + ft ** k * gt ** (K - k) * sis.dehomogenize(part, chart)
-        assert sis._pullback_numerator(s, G, chart) == (oracle, K)
+        assert sis._pullback_numerator(s, G, chart) == oracle
 
 
 def test_multiplicity_table_rejects_surface_equation(s_cubic):
