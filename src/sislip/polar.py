@@ -13,7 +13,7 @@ minimum simultaneously.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenericityAlarm

@@ -12,7 +12,9 @@ dict, scaled by the lcm of its denominators.  Resultants, multivariate and
 univariate gcds and factorizations with coefficients in QQ run there, and so
 do the products behind `sis._pullback_numerator`.  Everything over a number
 field stays in this module: the PRS gcd, Euclid on coefficient lists,
-Trager's factorization and the Bareiss resultant over Q(a).
+Trager's factorization and the Bareiss resultant over Q(a).  Their scalar
+products run in the integer kernel of `scalar`, which stores an element of
+Q(a) as integer numerators over one denominator.
 
 `resultant` returns the exact Sylvester determinant in both cases.  sympy
 swaps the operands when the first has the smaller degree but omits the
@@ -36,7 +38,7 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .scalar import QQ, AlgNum, as_scalar, is_zero, join, scalar_div
+from .scalar import QQ, AlgNum, as_scalar, is_zero, join, scalar_inv
 
 __all__ = [
     "MPoly",
@@ -605,7 +607,7 @@ def exact_div(p, q):
         return p
     ctx = join(p.ctx, q.ctx)
     q_lead = min(q.terms, key=_heap_key)
-    q_lc = q.terms[q_lead]
+    q_inv = scalar_inv(q.terms[q_lead])
     q_tail = [(e, co) for e, co in q.terms.items() if e != q_lead]
     rem = dict(p.terms)
     heap = [(_heap_key(e), e) for e in rem]
@@ -619,7 +621,7 @@ def exact_div(p, q):
         diff = tuple(a - b for a, b in zip(r_lead, q_lead))
         if any(d < 0 for d in diff):
             return None
-        c = scalar_div(lc, q_lc)
+        c = lc * q_inv
         quot[diff] = c
         for e, co in q_tail:
             e2 = tuple(a + b for a, b in zip(diff, e))

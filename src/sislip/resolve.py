@@ -33,12 +33,11 @@ from .poly import (
     factor_coeff_list,
     is_squarefree,
     mgcd,
-    poly_from_coeffs,
     resultant,
     squarefree_part_coeffs,
     univariate_coeffs,
 )
-from .scalar import QQ, FieldCtx, is_zero, join
+from .scalar import FieldCtx, is_zero, join
 
 GERM_VARS = ("v", "w")
 MAX_BLOWUP_DEPTH = 200

@@ -4,11 +4,19 @@ Scalars are either `fractions.Fraction` (elements of Q, valid in every
 context) or `AlgNum` (elements of a proper extension).  A degree-0 algebraic
 number is always collapsed to the scalar of the field below, so equality is a
 plain value comparison and dict keys behave.
+
+An element of a depth-1 field Q(a) is stored as integer numerators over one
+positive integer denominator, and `+`, `-`, `*` and scaling by a rational are
+integer operations: a product is an integer convolution followed by one
+reduction through the field's table of a^n .. a^(2n-2).  Elements of deeper
+levels keep coefficient lists over the field below, whose coefficients are
+scalars of that field; inverses run the extended Euclid on coefficient lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ContextMismatch, DivisionByZero, NotIrreducible, TowerDepthExceeded
 
@@ -31,11 +39,12 @@ class FieldCtx:
     below.  The empty tower is Q itself.
     """
 
-    __slots__ = ("tower", "max_depth")
+    __slots__ = ("tower", "max_depth", "_powers")
 
     def __init__(self, tower=(), max_depth=2):
         self.tower = tuple(tower)
         self.max_depth = max_depth
+        self._powers = None
 
     @property
     def depth(self):
@@ -66,9 +75,29 @@ class FieldCtx:
         """The generator of the top level as a scalar of this context."""
         if not self.tower:
             raise ValueError("Q has no generator")
-        sub_zero = Fraction(0)
-        sub_one = Fraction(1)
-        return AlgNum(self, (sub_zero, sub_one))
+        return make_algnum(self, [Fraction(0), Fraction(1)])
+
+    def power_table(self):
+        """(n, D, rows) for a depth-1 field of degree n with generator a.
+
+        a^(n+j) = sum_i rows[j][i] a^i / D for j = 0 .. n-2, with integer
+        rows and one positive integer D.  Built on first use.
+        """
+        if self._powers is None:
+            m = self.top_minpoly
+            n = len(m) - 1
+            row = [-c for c in m[:-1]]
+            rows = [row]
+            for _ in range(n - 2):
+                row = [Fraction(0)] + row  # a * row, then a^n -> rows[0]
+                top = row.pop()
+                row = [r + top * c for r, c in zip(row, rows[0])]
+                rows.append(row)
+            big = lcm(*(c.denominator for r in rows for c in r))
+            self._powers = (n, big, tuple(
+                tuple(c.numerator * (big // c.denominator) for c in r) for r in rows
+            ))
+        return self._powers
 
     def gen_names(self):
         return tuple(name for name, _ in self.tower)
@@ -77,7 +106,9 @@ class FieldCtx:
         return self.tower == other.tower[: len(self.tower)]
 
     def __eq__(self, other):
-        return isinstance(other, FieldCtx) and self.tower == other.tower
+        return self is other or (
+            isinstance(other, FieldCtx) and self.tower == other.tower
+        )
 
     def __hash__(self):
         return hash(self.tower)
@@ -90,12 +121,6 @@ class FieldCtx:
 
 
 QQ = FieldCtx(())
-
-
-def ctx_of(s):
-    if isinstance(s, AlgNum):
-        return s.ctx
-    return QQ
 
 
 def join(c1, c2):
@@ -147,13 +172,14 @@ def _pdivmod(a, b):
     a, b = _trim(a), _trim(b)
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    db, lb = len(b) - 1, b[-1]
+    db = len(b) - 1
     if len(a) - 1 < db:
         return [], a
+    inv = scalar_inv(b[-1])
     q = [Fraction(0)] * (len(a) - db)
     r = list(a)
     for k in range(len(a) - db - 1, -1, -1):
-        c = scalar_div(r[k + db], lb)
+        c = r[k + db] * inv
         if not is_zero(c):
             q[k] = c
             for i in range(db + 1):
@@ -177,21 +203,90 @@ def _ext_gcd(a, m):
 
 
 # ---------------------------------------------------------------------------
+# the integer kernel of a depth-1 field
+
+
+def _alg1(ctx, num, den):
+    """Canonical scalar sum(num[i] a^i) / den of the depth-1 field ctx; den > 0."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if n < 2:
+        return Fraction(num[0], den) if n else Fraction(0)
+    g = gcd(den, *num[:n])
+    if g == 1:
+        return AlgNum(ctx, 1, tuple(num[:n]), den)
+    return AlgNum(ctx, 1, tuple(c // g for c in num[:n]), den // g)
+
+
+def _add1(ctx, x, y):
+    xn, yn, den = x.num, y.num, x.den
+    if den != y.den:
+        xn, yn, den = [c * y.den for c in xn], [c * den for c in yn], den * y.den
+    if len(xn) < len(yn):
+        xn, yn = yn, xn
+    out = list(xn)
+    for i, c in enumerate(yn):
+        out[i] += c
+    return _alg1(ctx, out, den)
+
+
+def _mul1(ctx, x, y):
+    xn, yn = x.num, y.num
+    conv = [0] * (len(xn) + len(yn) - 1)
+    for i, c in enumerate(xn):
+        if c:
+            for j, d in enumerate(yn, i):
+                conv[j] += c * d
+    den = x.den * y.den
+    n, big, rows = ctx.power_table()
+    if len(conv) > n:
+        low = conv[:n]
+        if big != 1:
+            low = [c * big for c in low]
+            den *= big
+        for c, row in zip(conv[n:], rows):
+            if c:
+                for i, t in enumerate(row):
+                    low[i] += c * t
+        conv = low
+    return _alg1(ctx, conv, den)
+
+
+# ---------------------------------------------------------------------------
 
 
 class AlgNum:
     """Element of a proper extension, reduced mod the top minimal polynomial.
 
-    ``coeffs`` has length >= 2 after trimming (degree-0 values collapse to the
-    field below via :func:`make_algnum`).
+    ``depth`` is the tower depth of ``ctx`` and selects the representation:
+
+    - depth 1: integer numerators ``num`` over one integer denominator
+      ``den``, the value being sum(num[i] a^i) / den.  Canonical form:
+      ``den > 0``, ``gcd(den, *num) == 1`` and ``num[-1] != 0``.
+    - deeper: a coefficient list over the field below, held in ``_coeffs``.
+
+    Either way at least two coefficients remain after trimming: degree-0
+    values collapse to the field below (see :func:`make_algnum`).  ``coeffs``
+    is a read-only view of the coefficients over the field below (Fractions
+    at depth 1).
     """
 
-    __slots__ = ("ctx", "coeffs", "_hash")
+    __slots__ = ("ctx", "depth", "num", "den", "_coeffs", "_hash")
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, depth, num=None, den=None, coeffs=None):
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self.depth = depth
+        self.num = num
+        self.den = den
+        self._coeffs = coeffs
         self._hash = None
+
+    @property
+    def coeffs(self):
+        if self.depth == 1:
+            return tuple(Fraction(c, self.den) for c in self.num)
+        return self._coeffs
 
     def __hash__(self):
         if self._hash is None:
@@ -199,9 +294,12 @@ class AlgNum:
         return self._hash
 
     def __eq__(self, other):
-        if isinstance(other, AlgNum):
-            return self.ctx == other.ctx and self.coeffs == other.coeffs
-        return False  # degree-0 values never live in AlgNum
+        if not isinstance(other, AlgNum):
+            return False  # degree-0 values never live in AlgNum
+        if self.depth == 1:
+            return (other.depth == 1 and self.num == other.num
+                    and self.den == other.den and self.ctx == other.ctx)
+        return self.ctx == other.ctx and self._coeffs == other._coeffs
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -211,23 +309,33 @@ class AlgNum:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        """Return (a_coeffs, b_coeffs, ctx) both as coeff lists at one level."""
-        if isinstance(other, int):
-            other = Fraction(other)
-        ctx = join(self.ctx, ctx_of(other))
-        return _as_coeffs(self, ctx), _as_coeffs(other, ctx), ctx
+    def _ctx_with(self, other):
+        return self.ctx if other.ctx is self.ctx else join(self.ctx, other.ctx)
 
     def __add__(self, other):
-        if not isinstance(other, (int, Fraction, AlgNum)):
+        if isinstance(other, AlgNum):
+            ctx = self._ctx_with(other)
+            if self.depth == other.depth == 1:
+                return _add1(ctx, self, other)
+            a, b = _as_coeffs(self, ctx), _as_coeffs(other, ctx)
+            return make_algnum(ctx, _padd(a, b))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b, ctx = self._coerce(other)
-        return make_algnum(ctx, _padd(a, b))
+        if not other:
+            return self
+        if self.depth == 1:
+            p, q = other.numerator, other.denominator
+            out = [c * q for c in self.num]
+            out[0] += p * self.den
+            return _alg1(self.ctx, out, self.den * q)
+        return make_algnum(self.ctx, _padd(self._coeffs, [Fraction(other)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgNum(self.ctx, tuple(-c for c in self.coeffs))
+        if self.depth == 1:
+            return AlgNum(self.ctx, 1, tuple(-c for c in self.num), self.den)
+        return AlgNum(self.ctx, self.depth, coeffs=tuple(-c for c in self._coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, AlgNum)):
@@ -240,9 +348,20 @@ class AlgNum:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, AlgNum)):
+        if isinstance(other, AlgNum):
+            ctx = self._ctx_with(other)
+            if self.depth == other.depth == 1:
+                return _mul1(ctx, self, other)
+            a, b = _as_coeffs(self, ctx), _as_coeffs(other, ctx)
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return Fraction(0)
+            if self.depth == 1:
+                p, q = other.numerator, other.denominator
+                return _alg1(self.ctx, [c * p for c in self.num], self.den * q)
+            ctx, a, b = self.ctx, self._coeffs, [Fraction(other)]
+        else:
             return NotImplemented
-        a, b, ctx = self._coerce(other)
         return make_algnum(ctx, _pmod(_pmul(a, b), list(ctx.top_minpoly)))
 
     __rmul__ = __mul__
@@ -303,7 +422,11 @@ def make_algnum(ctx, coeffs):
         return Fraction(0)
     if len(coeffs) == 1:
         return coeffs[0]
-    return AlgNum(ctx, coeffs)
+    if ctx.depth == 1:  # reduced rationals over their lcm have gcd 1
+        den = lcm(*(c.denominator for c in coeffs))
+        return AlgNum(ctx, 1, tuple(c.numerator * (den // c.denominator)
+                                    for c in coeffs), den)
+    return AlgNum(ctx, ctx.depth, coeffs=tuple(coeffs))
 
 
 def as_scalar(ctx, value):

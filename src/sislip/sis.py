@@ -19,7 +19,6 @@ from . import scalar as _sc
 from .errors import (
     DegreeMismatch,
     GenericityAlarm,
-    InconsistentDivisor,
     NotHomogeneous,
     NotSuperisolated,
     TangentConeNotReduced,
@@ -34,8 +33,6 @@ from .poly import (
     from_zz,
     mgcd,
     multiplicity_of_factor,
-    parse_poly,
-    poly_from_coeffs,
     resultant,
     squarefree_part_coeffs,
     to_zz,
@@ -43,7 +40,6 @@ from .poly import (
 )
 from .resolve import (
     GERM_VARS,
-    Resolution,
     _distinct_tangent_lines,
     detect_nodes,
     resolve_germ,
