@@ -10,11 +10,14 @@ sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
 QQ becomes an element of sympy's sparse `PolyRing(ZZ)` built from its term
 dict, scaled by the lcm of its denominators.  Resultants, multivariate and
 univariate gcds and factorizations with coefficients in QQ run there, and so
-do the products behind `sis._pullback_numerator`.  Everything over a number
-field stays in this module: the PRS gcd, Euclid on coefficient lists,
-Trager's factorization and the Bareiss resultant over Q(a).  Their scalar
-products run in the integer kernel of `scalar`, which stores an element of
-Q(a) as integer numerators over one denominator.
+do the products behind `sis._pullback_numerator`; a ternary form is factored
+through its bivariate dehomogenization.  `MPoly.shift` over QQ is a Taylor
+pass in Python integers over one common denominator, with one `Fraction`
+per output term.  Everything over a number field stays in this module: the
+PRS gcd, Euclid on coefficient lists, Trager's factorization and the
+Bareiss resultant over Q(a).  Their scalar products run in the integer
+kernel of `scalar`, which stores an element of Q(a) as integer numerators
+over one denominator.
 
 `resultant` returns the exact Sylvester determinant in both cases.  sympy
 swaps the operands when the first has the smaller degree but omits the
@@ -265,14 +268,17 @@ class MPoly:
         """Substitute var -> var + c.
 
         One Taylor pass over the terms: co * var^k contributes
-        co * C(k, j) * c^(k-j) at var^j.
+        co * C(k, j) * c^(k-j) at var^j.  Over QQ the pass runs in integers
+        (`_shift_zz`); over a number field it runs on the scalars.
         """
         c = as_scalar(self.ctx, c)
-        if is_zero(c):
+        if is_zero(c) or not self.terms:
             return self
         i = self.vars.index(var)
+        if self.ctx.depth == 0:
+            return MPoly(QQ, self.vars, _shift_zz(self.terms, i, c))
         pows = [Fraction(1)]
-        for _ in range(max((e[i] for e in self.terms), default=0)):
+        for _ in range(max(e[i] for e in self.terms)):
             pows.append(pows[-1] * c)
         # taylor[k][j] = C(k, j) * c^(k-j), for the degrees k that occur
         taylor = {k: [math.comb(k, j) * pows[k - j] for j in range(k + 1)]
@@ -372,6 +378,30 @@ class MPoly:
         return "".join(parts)
 
 
+def _shift_zz(terms, i, c):
+    """The Taylor pass of `MPoly.shift` at exponent slot i, for rational
+    coefficients and a rational c = n/d, in integers.
+
+    With the coefficients a_e / D over their lcm D and K the top degree in
+    slot i, a_e * x^k contributes a_e * C(k, j) * n^(k-j) * d^(K-k+j) at x^j;
+    each output sum a becomes Fraction(a, D * d^K) once.
+    """
+    n, d = c.numerator, c.denominator
+    den = math.lcm(*(co.denominator for co in terms.values()))
+    top = max(e[i] for e in terms)
+    # taylor[k][j] = C(k, j) * n^(k-j) * d^(K-k+j), for the degrees k that occur
+    taylor = {k: [math.comb(k, j) * n ** (k - j) * d ** (top - k + j) for j in range(k + 1)]
+              for k in {e[i] for e in terms}}
+    acc = {}
+    for e, co in terms.items():
+        a = co.numerator * (den // co.denominator)
+        for j, s in enumerate(taylor[e[i]]):
+            e2 = e[:i] + (j,) + e[i + 1:]
+            acc[e2] = acc.get(e2, 0) + a * s
+    den *= d ** top
+    return {e: Fraction(a, den) for e, a in acc.items() if a}
+
+
 def _scalar_text(c):
     if isinstance(c, AlgNum):
         return f"({c!r})"
@@ -413,21 +443,26 @@ class _Parser:
         return e
 
     def expr(self):
+        """A signed sum of terms, accumulated into one term dict."""
         c = self.peek()
-        sign = 1
         if c in ("+", "-"):
             self.pos += 1
-            sign = -1 if c == "-" else 1
         t = self.term()
-        if sign < 0:
-            t = -t
+        ctx = t.ctx
+        terms = {e: -co for e, co in t.terms.items()} if c == "-" else dict(t.terms)
         while True:
             c = self.peek()
             if c not in ("+", "-"):
-                return t
+                return MPoly(ctx, self.vars, terms)
             self.pos += 1
             u = self.term()
-            t = t + u if c == "+" else t - u
+            ctx = join(ctx, u.ctx)
+            for e, co in u.terms.items():
+                s = terms.get(e, 0) + (co if c == "+" else -co)
+                if is_zero(s):
+                    terms.pop(e, None)
+                else:
+                    terms[e] = s
 
     def term(self):
         f = self.factor()
@@ -940,14 +975,43 @@ def factor_qq(p):
     coefficient.  Factors are ordered by the text of sympy's
     ``Poly(factor, *vars, domain='QQ')``, so the order does not depend on
     how sympy lists them.
+
+    A homogeneous form in three variables is factored through its
+    dehomogenization f(x, y, 1) in two: `_factor_ternary_form`.
     """
     if not p:
         raise ZeroPolynomial("factorization of zero polynomial")
     d, a = to_zz(p)
-    unit, factors = a.factor_list()
+    if len(p.vars) == 3 and p.is_homogeneous():
+        unit, factors = _factor_ternary_form(a, p.vars)
+    else:
+        unit, factors = a.factor_list()
     gens = ", ".join(p.vars)
     factors.sort(key=lambda t: f"Poly({t[0]}, {gens}, domain='QQ')")
     return Fraction(int(unit), d), [(from_zz(f, p.vars), k) for f, k in factors]
+
+
+def _factor_ternary_form(a, vars):
+    """`factor_list` of a nonzero homogeneous a in PolyRing(ZZ) on (x, y, z).
+
+    a = z^k * b with b(x, y, 0) != 0, and b is the homogenization of
+    a(x, y, 1), which is factored in the bivariate ring.  Each factor comes
+    back homogenized to its own degree, and z^k is appended.  Lex order on
+    (x, y, z) compares the terms of a form as lex order on (x, y) does, so
+    the factors keep sympy's sign normalization: a positive leading
+    coefficient.
+    """
+    ring = a.ring
+    k = min(e[2] for e in a)
+    flat = _zz_ring(vars[:2], None).from_dict({(i, j): c for (i, j, _), c in a.items()})
+    unit, flat_factors = flat.factor_list()
+    factors = []
+    for f, m in flat_factors:
+        deg = max(i + j for i, j in f)
+        factors.append((ring.from_dict({(i, j, deg - i - j): c for (i, j), c in f.items()}), m))
+    if k:
+        factors.append((ring.gens[2], k))
+    return unit, factors
 
 
 def _trager(f, ctx):

@@ -170,7 +170,6 @@ def singular_points(s):
     for ctx, v0, w0, size in _affine_singularities(f0):
         pts.append(_make_point(s, 0, (v0, w0), ctx, size))
     # the line x = 0, parametrized in chart y = 1, plus the point [0:0:1]
-    f1 = dehomogenize(s.f, 1)
     restrictions = []
     for p in (s.f, s.f.derivative("x"), s.f.derivative("y"), s.f.derivative("z")):
         q = dehomogenize(p, 1).set_var("v", 0)
@@ -215,9 +214,13 @@ def _affine_singularities(f0):
         Fv = F.derivative("v")
         Fw = F.derivative("w")
         out = []
+        # The lead of F in w is a constant, so ord_{v0} R is the sum of
+        # I_p(F, F_w) >= m(m-1) >= 2 over the points p above v0: a singular
+        # point lies only over a repeated factor of R, a root of gcd(R, R').
         rc = univariate_coeffs(R, "v") if R.total_degree() > 0 else []
-        if len(rc) > 1:
-            for qc, _e in factor_coeff_list(squarefree_part_coeffs(rc), QQ):
+        repeated = _uni_gcd(rc, [c * k for k, c in enumerate(rc)][1:]) if rc else []
+        if len(repeated) > 1:
+            for qc, _e in factor_coeff_list(squarefree_part_coeffs(repeated), QQ):
                 if len(qc) == 2:
                     ctx1, v0 = QQ, -qc[0]
                 else:

@@ -19,6 +19,7 @@ from sislip.poly import (
     MPoly,
     _uni_gcd,
     exact_div,
+    factor_qq,
     factor_univariate,
     is_squarefree,
     mgcd,
@@ -33,6 +34,7 @@ from sislip.poly import (
 from sislip.scalar import QQ, extend_field
 
 VW = ("v", "w")
+AV = ("x", "y", "z")
 
 
 def P(text, vars=VW):
@@ -56,6 +58,17 @@ def test_parse_nested_powers():
 def test_parse_unary_minus_and_implicit_none():
     assert P("-v^2").terms == {(2, 0): Fraction(-1)}
     assert P("-(v-w)") == P("w-v")
+
+
+def test_parse_sum_accumulates_like_binary_addition():
+    # sympy's expansion is an independent oracle for the long sum
+    x, y, z = sympy.symbols("x y z")
+    expanded = str(sympy.expand((x + 2*y - 3*z)**7 + x**8)).replace("**", "^")
+    assert expanded.count("+") + expanded.count("-") > 30
+    assert P(expanded, vars=AV) == P("(x + 2*y - 3*z)^7 + x^8", vars=AV)
+    assert P("x - x + y", vars=AV) == P("y", vars=AV)
+    # a cancelled term that comes back is re-added, in order
+    assert list(P("v - v + w + v").terms) == [(0, 1), (1, 0)]
 
 
 def test_parse_error_has_position():
@@ -341,3 +354,62 @@ def test_require_coprime():
     require_coprime(P("v"), P("w"))
     with pytest.raises(CommonComponent):
         require_coprime(P("v*(v+w)"), P("w*(v+w)"))
+
+
+# ---------------------------------------------------------------------------
+# factoring ternary forms: sympy's trivariate factor_list as the oracle
+
+def _factor_oracle(p):
+    """(unit, [(factor, k)]) from sympy's factor_list in (x, y, z), in the
+    order of the text of each factor's Poly."""
+    syms = sympy.symbols(AV)
+    expr = sympy.sympify(p.to_text().replace("^", "**"))
+    unit, facs = sympy.factor_list(expr, *syms)
+    facs.sort(key=lambda t: str(sympy.Poly(t[0], *syms, domain="QQ")))
+    return Fraction(unit.p, unit.q), [
+        (P(str(f).replace("**", "^"), vars=AV), k) for f, k in facs
+    ]
+
+
+def _check_factor_qq(p):
+    unit, facs = factor_qq(p)
+    prod = MPoly.const(QQ, AV, unit)
+    for f, k in facs:
+        prod = prod * f ** k
+    assert prod == p
+    assert (unit, facs) == _factor_oracle(p)
+
+
+@pytest.mark.parametrize("text", [
+    "(x - y)*(2*x + z)*z",                    # z | f
+    "-(x - y)*(2*x + z)*z^2",                 # z^2 | f: exponent 2 comes back
+    "(x^2 - 2*y^2)*(x + 3*y)^2",              # no z at all
+    "z^5",                                    # a pure power of z
+    "-3*z^3",
+    "-x^3 + y^2*z",                           # negative leading coefficient
+    "(y*z - x^2)*(x*z - y^2 + 3*z^2)",
+    "1/2*(x*y - 1/3*z^2)*(y - z)^2*z",        # rational coefficients
+    "(2/5*x + 7/3*y - z)*(x^2 + y^2 + z^2)",
+    "(z*x^2 + y^3)*(x^3 + z*y^2)",
+])
+def test_factor_qq_ternary_forms_against_sympy(text):
+    _check_factor_qq(P(text, vars=AV))
+
+
+def _linear_forms():
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.tuples(coeff, coeff, coeff).filter(any).map(
+        lambda c: MPoly(QQ, AV, {e: a for e, a in zip(
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)), c) if a}))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lines=st.lists(_linear_forms(), min_size=1, max_size=4),
+       k=st.integers(0, 2), quadric=st.booleans())
+def test_factor_qq_products_of_forms_against_sympy(lines, k, quadric):
+    p = MPoly.const(QQ, AV, 1)
+    for line in lines:
+        p = p * line
+    if quadric:
+        p = p * P("x^2 - y*z + 2*z^2", vars=AV)
+    _check_factor_qq(p * MPoly.var(QQ, AV, "z") ** k)

@@ -16,9 +16,9 @@ from sislip.errors import (
     TangentConeNotReduced,
     ZeroOnComponent,
 )
-from sislip.poly import MPoly, is_squarefree, mgcd, parse_poly
+from sislip.poly import MPoly, is_squarefree, mgcd, parse_poly, resultant
 from sislip.resolve import GERM_VARS, detect_nodes
-from sislip.scalar import QQ
+from sislip.scalar import QQ, extend_field, is_zero
 
 AV = ("x", "y", "z")
 
@@ -134,6 +134,79 @@ def test_local_factors_reduced_and_coprime(surface, request):
         for i, p in enumerate(locs):
             for q in locs[i + 1:]:
                 assert mgcd(p, q).total_degree() == 0
+
+
+def test_vertical_inflection_is_not_singular():
+    # Res_w(w^3 - v, 3w^2) = 27v^2 has a double root at v = 0, but the
+    # curve is smooth there: its tangent is vertical, with contact 3
+    F = parse_poly("w^3 - v", vars=GERM_VARS)
+    assert resultant(F, F.derivative("w"), "w").order_in("v") == 2
+    assert list(sis._affine_singularities(F)) == []
+
+
+def test_node_of_discriminant_order_two_is_kept():
+    # a node is the least singular point: the discriminant vanishes to
+    # order exactly m(m - 1) = 2 under it
+    F = parse_poly("w^2 - v^2 - v^3", vars=GERM_VARS)
+    assert resultant(F, F.derivative("w"), "w").order_in("v") == 2
+    assert list(sis._affine_singularities(F)) == [(QQ, 0, 0, 1)]
+
+
+def test_simple_discriminant_factors_build_no_field(monkeypatch):
+    # vertical tangents at v = +-sqrt 2 are simple roots of the
+    # discriminant; only the node's double root v = 0 is examined
+    calls = []
+
+    def counting(ctx, m, name=None):
+        calls.append(m)
+        return extend_field(ctx, m, name)
+
+    monkeypatch.setattr(sis, "extend_field", counting)
+    F = parse_poly("w^2 - v^4 + 2*v^2", vars=GERM_VARS)
+    assert list(sis._affine_singularities(F)) == [(QQ, 0, 0, 1)]
+    assert calls == []
+
+
+# surfaces of the benchmark pool; every one is superisolated
+POOL_SURFACES = [
+    "y^3 + x*z^2 - x^4",
+    "(x*z - y^2)*y + (x + y + z)^4",
+    "y^4 - x*z^3 + (x + y + z)^5",
+    "x*y*z*(x + y + z) + (x + 2*y + 3*z)^5",
+    "(x^2 - 2*y^2)*(y^2 - 3*z^2) + (x + y + z)^5",
+    "(y*z - x^2)*(x*z - y^2 + 3*z^2) + (x + y + z)^5",
+]
+
+
+def _change(F, m):
+    vs = [MPoly.var(QQ, AV, n) for n in AV]
+    return F.evaluate({AV[i]: sum((vs[j] * m[i][j] for j in range(3)),
+                                  MPoly.zero(QQ, AV)) for i in range(3)})
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+matrices = st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                    min_size=3, max_size=3).filter(_det3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(text=st.sampled_from(POOL_SURFACES), m=matrices)
+def test_singular_points_under_linear_change(text, m):
+    base = sum(pt.class_size for pt in sis.singular_points(sis.from_polynomial(A(text))))
+    s = sis.from_polynomial(_change(A(text), m))
+    pts = sis.singular_points(s)
+    assert sum(pt.class_size for pt in pts) == base
+    for pt in pts:
+        f = sis.dehomogenize(s.f, pt.chart).lift(pt.ctx)
+        c1, c2 = pt.coords
+        for p in (f, f.derivative("v"), f.derivative("w")):
+            value = p.set_var("v", c1).set_var("w", c2)
+            assert is_zero(value.terms.get((0, 0), Fraction(0)))
 
 
 @pytest.fixture(scope="module")
