@@ -10,14 +10,14 @@ sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
 QQ becomes an element of sympy's sparse `PolyRing(ZZ)` built from its term
 dict, scaled by the lcm of its denominators.  Resultants, multivariate and
 univariate gcds and factorizations with coefficients in QQ run there, and so
-do the products behind `sis._pullback_numerator`; a ternary form is factored
-through its bivariate dehomogenization.  `MPoly.shift` over QQ is a Taylor
-pass in Python integers over one common denominator, with one `Fraction`
-per output term.  Everything over a number field stays in this module: the
-PRS gcd, Euclid on coefficient lists, Trager's factorization and the
-Bareiss resultant over Q(a).  Their scalar products run in the integer
-kernel of `scalar`, which stores an element of Q(a) as integer numerators
-over one denominator.
+do the products behind `sis._pullback_numerator`; `factor_qq` factors a
+ternary form through its bivariate dehomogenization.  `MPoly.shift` over
+QQ is a Taylor pass in Python integers over one common denominator, with
+one `Fraction` per output term.  Everything over a number field stays in
+this module: the PRS gcd, Euclid on coefficient lists, Trager's
+factorization and the Bareiss resultant over Q(a).  Their scalar products
+run in the integer kernel of `scalar`, which stores an element of Q(a) as
+integer numerators over one denominator.
 
 `resultant` returns the exact Sylvester determinant in both cases.  sympy
 swaps the operands when the first has the smaller degree but omits the
@@ -36,6 +36,7 @@ from .errors import (
     CommonComponent,
     DegreeTooLarge,
     DivisionByZero,
+    NotHomogeneous,
     ParseError,
     UnknownGenerator,
     UnknownVariable,
@@ -119,12 +120,7 @@ class MPoly:
             return NotImplemented
         self._check(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+        _add_terms(terms, other.terms)
         return MPoly(join(self.ctx, other.ctx), self.vars, terms)
 
     __radd__ = __add__
@@ -378,6 +374,17 @@ class MPoly:
         return "".join(parts)
 
 
+def _add_terms(terms, other, negate=False):
+    """Add other (or -other) into the term dict terms in place, in other's
+    order; a sum that cancels drops its exponent."""
+    for e, c in other.items():
+        s = terms.get(e, 0) + (-c if negate else c)
+        if is_zero(s):
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+
+
 def _shift_zz(terms, i, c):
     """The Taylor pass of `MPoly.shift` at exponent slot i, for rational
     coefficients and a rational c = n/d, in integers.
@@ -449,7 +456,8 @@ class _Parser:
             self.pos += 1
         t = self.term()
         ctx = t.ctx
-        terms = {e: -co for e, co in t.terms.items()} if c == "-" else dict(t.terms)
+        terms = {}
+        _add_terms(terms, t.terms, c == "-")
         while True:
             c = self.peek()
             if c not in ("+", "-"):
@@ -457,12 +465,7 @@ class _Parser:
             self.pos += 1
             u = self.term()
             ctx = join(ctx, u.ctx)
-            for e, co in u.terms.items():
-                s = terms.get(e, 0) + (co if c == "+" else -co)
-                if is_zero(s):
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+            _add_terms(terms, u.terms, c == "-")
 
     def term(self):
         f = self.factor()
@@ -792,15 +795,24 @@ def _uni_gcd(a, b):
     return a
 
 
+def _gcd_with_derivative(a):
+    """gcd(a, a') of a univariate coefficient list, monic; [] for a == []."""
+    return _uni_gcd(a, [c * k for k, c in enumerate(a)][1:])
+
+
 def squarefree_part_coeffs(a):
     """Radical of a univariate coefficient list over a field."""
-    da = [c * k for k, c in enumerate(a)][1:]
-    g = _uni_gcd(a, _sc._trim(da))
+    g = _gcd_with_derivative(a)
     if len(g) <= 1:
         return list(a)
     q, r = _sc._pdivmod(a, g)
     assert not r
     return q
+
+
+def repeated_part_coeffs(a):
+    """Radical of gcd(a, a'): each root of multiplicity >= 2 of a, once."""
+    return squarefree_part_coeffs(_gcd_with_derivative(a))
 
 
 def is_squarefree(p):
@@ -968,50 +980,38 @@ def _factor_qq(coeffs):
 
 
 def factor_qq(p):
-    """Irreducible factorization over QQ of a nonzero MPoly over QQ.
+    """Irreducible factorization over QQ of a nonzero ternary form.
 
     Returns (unit, [(factor, exponent), ...]) with unit * prod factor^k == p.
     Each factor is primitive over ZZ with positive sympy-lex leading
     coefficient.  Factors are ordered by the text of sympy's
     ``Poly(factor, *vars, domain='QQ')``, so the order does not depend on
-    how sympy lists them.
+    how sympy lists them.  Raises NotHomogeneous unless p is a form in three
+    variables.
 
-    A homogeneous form in three variables is factored through its
-    dehomogenization f(x, y, 1) in two: `_factor_ternary_form`.
+    p = z^k * b with b(x, y, 0) != 0, and b is the homogenization of
+    p(x, y, 1), which is factored in the bivariate PolyRing(ZZ).  Each factor
+    comes back homogenized to its own degree, and z^k is appended.  Lex order
+    on (x, y, z) compares the terms of a form as lex order on (x, y) does, so
+    the factors keep sympy's sign normalization.
     """
     if not p:
         raise ZeroPolynomial("factorization of zero polynomial")
+    if len(p.vars) != 3 or not p.is_homogeneous():
+        raise NotHomogeneous("factor_qq factors forms in three variables")
     d, a = to_zz(p)
-    if len(p.vars) == 3 and p.is_homogeneous():
-        unit, factors = _factor_ternary_form(a, p.vars)
-    else:
-        unit, factors = a.factor_list()
-    gens = ", ".join(p.vars)
-    factors.sort(key=lambda t: f"Poly({t[0]}, {gens}, domain='QQ')")
-    return Fraction(int(unit), d), [(from_zz(f, p.vars), k) for f, k in factors]
-
-
-def _factor_ternary_form(a, vars):
-    """`factor_list` of a nonzero homogeneous a in PolyRing(ZZ) on (x, y, z).
-
-    a = z^k * b with b(x, y, 0) != 0, and b is the homogenization of
-    a(x, y, 1), which is factored in the bivariate ring.  Each factor comes
-    back homogenized to its own degree, and z^k is appended.  Lex order on
-    (x, y, z) compares the terms of a form as lex order on (x, y) does, so
-    the factors keep sympy's sign normalization: a positive leading
-    coefficient.
-    """
-    ring = a.ring
     k = min(e[2] for e in a)
-    flat = _zz_ring(vars[:2], None).from_dict({(i, j): c for (i, j, _), c in a.items()})
+    flat = _zz_ring(p.vars[:2], None).from_dict({(i, j): c for (i, j, _), c in a.items()})
     unit, flat_factors = flat.factor_list()
     factors = []
     for f, m in flat_factors:
         deg = max(i + j for i, j in f)
-        factors.append((ring.from_dict({(i, j, deg - i - j): c for (i, j), c in f.items()}), m))
+        factors.append((a.ring.from_dict({(i, j, deg - i - j): c for (i, j), c in f.items()}), m))
     if k:
-        factors.append((ring.gens[2], k))
-    return unit, factors
+        factors.append((a.ring.gens[2], k))
+    gens = ", ".join(p.vars)
+    factors.sort(key=lambda t: f"Poly({t[0]}, {gens}, domain='QQ')")
+    return Fraction(int(unit), d), [(from_zz(f, p.vars), m) for f, m in factors]
 
 
 def _trager(f, ctx):
@@ -1026,8 +1026,7 @@ def _trager(f, ctx):
     for s in range(0, 40):
         shifted = _shift_uni(f, -s, beta) if s else list(f)
         norm = _norm_down(shifted, m, sub, ctx)
-        dn = _sc._trim([c * j for j, c in enumerate(norm)][1:])
-        if len(_uni_gcd(norm, dn)) == 1:
+        if len(_gcd_with_derivative(norm)) == 1:
             pieces = factor_coeff_list(norm, sub)
             out = []
             for h, _k in pieces:

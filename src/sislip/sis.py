@@ -33,6 +33,7 @@ from .poly import (
     from_zz,
     mgcd,
     multiplicity_of_factor,
+    repeated_part_coeffs,
     resultant,
     squarefree_part_coeffs,
     to_zz,
@@ -218,9 +219,9 @@ def _affine_singularities(f0):
         # I_p(F, F_w) >= m(m-1) >= 2 over the points p above v0: a singular
         # point lies only over a repeated factor of R, a root of gcd(R, R').
         rc = univariate_coeffs(R, "v") if R.total_degree() > 0 else []
-        repeated = _uni_gcd(rc, [c * k for k, c in enumerate(rc)][1:]) if rc else []
+        repeated = repeated_part_coeffs(rc)
         if len(repeated) > 1:
-            for qc, _e in factor_coeff_list(squarefree_part_coeffs(repeated), QQ):
+            for qc, _e in factor_coeff_list(repeated, QQ):
                 if len(qc) == 2:
                     ctx1, v0 = QQ, -qc[0]
                 else:

@@ -12,6 +12,7 @@ from sislip import scalar as _sc
 from sislip.errors import (
     CommonComponent,
     ContextMismatch,
+    NotHomogeneous,
     ParseError,
     UnknownVariable,
 )
@@ -26,6 +27,7 @@ from sislip.poly import (
     multiplicity_of_factor,
     parse_poly,
     poly_from_coeffs,
+    repeated_part_coeffs,
     require_coprime,
     resultant,
     squarefree_part_coeffs,
@@ -250,6 +252,17 @@ def test_squarefree_part_coeffs():
                                           Fraction(1)]
 
 
+def test_repeated_part_coeffs():
+    # (t-1)^3 (t+2)^2 (t-5) -> (t-1)(t+2) = t^2 + t - 2; simple roots drop out
+    t = sympy.Symbol("t")
+    expr = sympy.expand((t - 1) ** 3 * (t + 2) ** 2 * (t - 5))
+    cs = [Fraction(int(c)) for c in reversed(sympy.Poly(expr, t).all_coeffs())]
+    assert repeated_part_coeffs(cs) == [Fraction(-2), Fraction(1), Fraction(1)]
+    # squarefree input: a constant, so no factor is kept
+    assert repeated_part_coeffs([Fraction(-2), Fraction(1), Fraction(1)]) == [Fraction(1)]
+    assert repeated_part_coeffs([]) == []
+
+
 # ---------------------------------------------------------------------------
 # resultants: the Sylvester determinant as an independent oracle
 
@@ -394,6 +407,16 @@ def _check_factor_qq(p):
 ])
 def test_factor_qq_ternary_forms_against_sympy(text):
     _check_factor_qq(P(text, vars=AV))
+
+
+@pytest.mark.parametrize("text,vars", [
+    ("x^2 + y", AV),              # not homogeneous
+    ("x*y - z^2", ("x", "y", "z", "t")),  # four variables
+    ("v*w", VW),                  # two variables
+])
+def test_factor_qq_rejects_non_ternary_forms(text, vars):
+    with pytest.raises(NotHomogeneous):
+        factor_qq(P(text, vars=vars))
 
 
 def _linear_forms():
