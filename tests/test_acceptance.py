@@ -331,11 +331,15 @@ def test_property_linear_change_invariance(expr):
     s = surface(expr)
     base = inner_graph(s)
     F = s.f - s.g
+    text = report.to_json(report.GraphDocument(base, {"mode": "inner"}))
     rng = random.Random(zlib.adler32(expr.encode()))
     for _ in range(10):
         s2 = sis.from_polynomial(linear_change(F, rng))
         g2 = inner_graph(s2)
         assert report.isomorphic(base, g2) is not None
+        # provenance without "input": the JSON bytes are the same
+        assert report.to_json(report.GraphDocument(
+            g2, {"mode": "inner"})) == text
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,15 @@ def test_dot_format(capsys):
     assert out.count("fillcolor=black") == 1
 
 
+def test_dot_arrows_numbered_in_canonical_order(capsys):
+    # swapping v and w renumbers the resolution's curves, not the picture
+    _c, out1, _ = run(capsys, "resolve-germ", "(w^2-v^5)*(w^3-v^2)*(w-v)",
+                      "--format", "dot")
+    _c, out2, _ = run(capsys, "resolve-germ", "(v^2-w^5)*(v^3-w^2)*(v-w)",
+                      "--format", "dot")
+    assert out1 == out2
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "graph.json"
     code, out, _ = run(capsys, "sis-graph", CUBIC, "--out", str(target))

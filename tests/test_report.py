@@ -174,27 +174,83 @@ def permuted(graph, seed):
     return DecoratedGraph(graph.mode, vertices, edges, arrows), perm
 
 
+def assert_isomorphism(g1, g2, m):
+    """m is a bijection carrying decorations, edges and arrows of g1 to g2."""
+    assert m is not None
+    assert sorted(m) == sorted(g1.vertices)
+    assert sorted(m.values()) == sorted(g2.vertices)
+    for vid, wid in m.items():
+        v, w = g1.vertices[vid], g2.vertices[wid]
+        assert (v.is_L, v.self_int, v.rate) == (w.is_L, w.self_int, w.rate)
+    assert sorted(sorted((m[a], m[b])) for a, b in g1.edges) == \
+        sorted(sorted(e) for e in g2.edges)
+    assert sorted((m.get(a, -1), repr(t)) for a, t in g1.arrows) == \
+        sorted((-1 if a is None else a, repr(t)) for a, t in g2.arrows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=graphs, pseed=graphs)
 def test_isomorphism_equivalence_relation(seed, pseed):
     g = random_graph(seed)
     # reflexive
-    assert report.isomorphic(g, g) is not None
+    assert_isomorphism(g, g, report.isomorphic(g, g))
     g2, perm = permuted(g, pseed)
     m = report.isomorphic(g, g2)
-    assert m is not None
-    # the returned bijection preserves decorations and edges
-    for vid, wid in m.items():
-        v, w = g.vertices[vid], g2.vertices[wid]
-        assert (v.is_L, v.self_int, v.rate) == (w.is_L, w.self_int, w.rate)
+    # the returned bijection preserves decorations, edges and arrows
+    assert_isomorphism(g, g2, m)
     # symmetric: the reverse direction also succeeds
     m2 = report.isomorphic(g2, g)
-    assert m2 is not None
+    assert_isomorphism(g2, g, m2)
     # transitive: mapping g -> g2 -> g is an automorphism of g
-    auto = {a: m2[m[a]] for a in m}
-    for vid, wid in auto.items():
-        v, w = g.vertices[vid], g.vertices[wid]
-        assert (v.is_L, v.self_int, v.rate) == (w.is_L, w.self_int, w.rate)
+    assert_isomorphism(g, g, {a: m2[m[a]] for a in m})
+
+
+def plain_graph(n, edges):
+    return make_graph([(v, False, -2, None) for v in range(n)], edges)
+
+
+@pytest.mark.parametrize("g1, g2", [
+    # 2-regular on six vertices: a hexagon against two triangles
+    (plain_graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+     plain_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])),
+    # 3-regular on six vertices: the triangular prism against K3,3
+    (plain_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                     (0, 3), (1, 4), (2, 5)]),
+     plain_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])),
+])
+def test_refinement_blind_pairs_not_isomorphic(g1, g2):
+    # colour refinement gives every vertex of both graphs one colour
+    assert report.isomorphic(g1, g2) is None
+    assert report.isomorphic(g2, g1) is None
+
+
+def subdivided_complete_graph(n):
+    """K_n with every edge subdivided once: the inner graph's shape for n
+    lines in general position (L-vertices, and 3/2-vertices at the nodes)."""
+    entries = [(v, True, -3, None) for v in range(1, n + 1)]
+    edges = []
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            mid = len(entries) + 1
+            entries.append((mid, False, -1, Fraction(3, 2)))
+            edges += [(a, mid), (mid, b)]
+    return make_graph(entries, edges)
+
+
+def test_isomorphic_subdivided_k5():
+    g = subdivided_complete_graph(5)
+    assert len(g.vertices) == 15
+    g2, _perm = permuted(g, 1)
+    assert_isomorphism(g, g2, report.isomorphic(g, g2))
+
+
+@pytest.mark.parametrize("pseed", range(5))
+def test_output_bytes_independent_of_vertex_ids(pseed):
+    g = subdivided_complete_graph(4)
+    g2, _perm = permuted(g, pseed)
+    doc, doc2 = report.GraphDocument(g), report.GraphDocument(g2)
+    assert report.to_json(doc) == report.to_json(doc2)
+    assert report.to_dot(doc) == report.to_dot(doc2)
 
 
 def test_canonical_order_stable(s_cubic):
