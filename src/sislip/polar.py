@@ -74,11 +74,18 @@ def _radical(p):
 
 
 def _local_polar_data(s, pt, G):
-    """(reduced local polar germ or None, pullback numerator at the point)."""
-    Nloc = local_numerator(s, pt, G)
-    # the numerator carries the tangent-cone components (the L-curves) as
-    # factors; the strict transform of the polar is what remains
-    strict = Nloc
+    """(reduced local polar germ or None, (m, M_loc) from local_numerator).
+
+    The numerator at the point is N_loc = h_local^m * M_loc, and h_local is
+    c times the product of pt.components, c the product of the components
+    that move to constants.  The cone is reduced, so each component divides
+    h_local once, and the components stay coprime over pt's field.  So
+    stripping every component from M_loc leaves what stripping them from
+    N_loc leaves, divided by the nonzero constant c^m: the strict transform
+    of the polar, which N_loc is never formed to find.
+    """
+    num = local_numerator(s, pt, G)
+    strict = num[1]
     for cloc in pt.components.values():
         while True:
             q = exact_div(strict, cloc)
@@ -86,14 +93,14 @@ def _local_polar_data(s, pt, G):
                 break
             strict = q
     if strict.order_at_origin() == 0:
-        return None, Nloc  # the polar misses this singular point
+        return None, num  # the polar misses this singular point
     rad = _radical(strict)
     for name, comp in pt.local_factors.items():
         if mgcd(rad, comp).total_degree() > 0:
             raise GenericityAlarm(
                 f"polar sample contains a branch of component {name}"
             )
-    return rad, Nloc
+    return rad, num
 
 
 @dataclass
@@ -130,7 +137,7 @@ def extended_polar_graph(s, G, l_mults):
         l_id[name] = nid
     extra = 0
     for ip, pt in enumerate(singular_points(s)):
-        pol, Nloc = _local_polar_data(s, pt, G)
+        pol, (m, Mloc) = _local_polar_data(s, pt, G)
         base = point_resolution(s, ip)
         if pol is None:
             res = base
@@ -146,8 +153,8 @@ def extended_polar_graph(s, G, l_mults):
                 f"(cap {MAX_EXTRA_BLOWUPS}) at singular point {ip}"
             )
         extra += n_new * pt.class_size
-        m_pol = res.track(Nloc)
         m_lin = res.track(pt.h_local)
+        m_rest = res.track(Mloc)
         for copy in range(pt.class_size):
             gid = {}
             for lid in sorted(local.vertices):
@@ -157,7 +164,8 @@ def extended_polar_graph(s, G, l_mults):
                 vertices[nid] = DVertex(
                     nid, False, self_int=local.vertices[lid], point=ip,
                     copy=copy, local_id=rid,
-                    mult={"polar": m_pol[rid], "l": m_lin[rid]},
+                    mult={"polar": m * m_lin[rid] + m_rest[rid],
+                          "l": m_lin[rid]},
                 )
             for e in local.edges:
                 a, b = sorted(e)

@@ -10,7 +10,8 @@ sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
 QQ becomes an element of sympy's sparse `PolyRing(ZZ)` built from its term
 dict, scaled by the lcm of its denominators.  Resultants, multivariate and
 univariate gcds and factorizations with coefficients in QQ run there, and so
-do the products behind `sis._pullback_numerator`; `factor_qq` factors a
+do the products that build the cofactor M of a pullback numerator
+f~^m * M (`sis._pullback_numerator`); `factor_qq` factors a
 ternary form through its bivariate dehomogenization.  `MPoly.shift` over
 QQ is a Taylor pass in Python integers over one common denominator, with
 one `Fraction` per output term.  Everything over a number field stays in
@@ -468,18 +469,31 @@ class _Parser:
             _add_terms(terms, u.terms, c == "-")
 
     def term(self):
-        f = self.factor()
-        while self.peek() == "*":
+        """A product of factors.  Numbers and variable powers fold into one
+        coefficient and exponent list; parenthesized sums and generators
+        multiply as polynomials, in order, and the monomial multiplies last."""
+        coef, exps, poly = Fraction(1), [0] * len(self.vars), None
+        while True:
+            f = self.factor()
+            if isinstance(f, MPoly):
+                poly = f if poly is None else poly * f
+            else:
+                coef *= f[0]
+                exps = [a + b for a, b in zip(exps, f[1])]
+            if self.peek() != "*":
+                break
             self.pos += 1
-            f = f * self.factor()
-        return f
+        if poly is not None and coef == 1 and not any(exps):
+            return poly
+        mono = MPoly(self.ctx, self.vars, {tuple(exps): coef} if coef else {})
+        return mono if poly is None else mono * poly
 
     def factor(self):
         b = self.base()
         if self.peek() == "^":
             self.pos += 1
             n = self.natural()
-            b = b ** n
+            b = b ** n if isinstance(b, MPoly) else (b[0] ** n, [a * n for a in b[1]])
         return b
 
     def natural(self):
@@ -492,6 +506,8 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def base(self):
+        """A parenthesized sum or a generator as an MPoly; a number or a
+        variable as a (coefficient, exponent list) pair."""
         c = self.peek()
         if c == "(":
             self.take("(")
@@ -500,7 +516,8 @@ class _Parser:
             return e
         if c == "-":
             self.pos += 1
-            return -self.base()
+            b = self.base()
+            return -b if isinstance(b, MPoly) else (-b[0], b[1])
         if c.isdigit():
             n = self.natural()
             if self.peek() == "/":
@@ -508,8 +525,8 @@ class _Parser:
                 d = self.natural()
                 if d == 0:
                     self.error("zero denominator")
-                return MPoly.const(self.ctx, self.vars, Fraction(n, d))
-            return MPoly.const(self.ctx, self.vars, n)
+                return Fraction(n, d), [0] * len(self.vars)
+            return Fraction(n), [0] * len(self.vars)
         if c.isalpha() or c == "_":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -518,7 +535,7 @@ class _Parser:
                 self.pos += 1
             name = self.text[start:self.pos]
             if name in self.vars:
-                return MPoly.var(self.ctx, self.vars, name)
+                return Fraction(1), [int(v == name) for v in self.vars]
             if name in self.ctx.gen_names():
                 gen = _generator_scalar(self.ctx, name)
                 return MPoly.const(self.ctx, self.vars, gen)

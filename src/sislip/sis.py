@@ -433,46 +433,59 @@ def inner_rates(graph, s, seed=0):
 # multiplicities of ambient functions along the exceptional curves
 
 def _pullback_numerator(s, G, chart):
-    """g~^K * (G composed with the ambient blow-up), in chart coordinates.
+    """(m, M) with g~^K * (G composed with the ambient blow-up) = f~^m * M,
+    in chart coordinates.
 
     In the chart (x,y,z) = (t, tv, tw) (coordinates permuted per chart
     index), the exceptional coordinate satisfies t = f~/g~ on the surface, so
-    G pulls back to [sum_k f~^k g~^(K-k) G_k~] / g~^K with G_k the
-    homogeneous parts of G.
+    G pulls back to N / g~^K with N = sum_k f~^k g~^(K-k) G_k~ over the
+    homogeneous parts G_k of G.  Every k is at least m = ord G, so
+    N = f~^m * M with M = sum_k f~^(k-m) g~^(K-k) G_k~; only M is built.
+    An L-curve is cut out by a non-constant component h of f~, and the cone
+    is reduced, so nu_h(f~) = 1 and nu_h(N) = m + nu_h(M).
 
     The sum runs in PolyRing(ZZ) over one common denominator: with
     df * f~, dg * g~ and d_k * G_k~ integral, term k is divided by
-    df^k * dg^(K-k) * d_k, and N is the integral sum over their lcm.
+    df^(k-m) * dg^(K-k) * d_k, and M is the integral sum over their lcm.
     """
     key = (G, chart)
     if key in s._pullbacks:
         return s._pullbacks[key]
     df, ft = to_zz(dehomogenize(s.f, chart))
     dg, gt = to_zz(dehomogenize(s.g, chart))
-    K = G.total_degree()
+    parts = G.homogeneous_parts()
+    K, m = max(parts), min(parts)
     summands = []  # (denominator, integral numerator) of term k
-    for k, part in G.homogeneous_parts().items():
+    for k, part in parts.items():
         dk, gk = to_zz(dehomogenize(part, chart))
-        summands.append((df ** k * dg ** (K - k) * dk, ft ** k * gt ** (K - k) * gk))
+        summands.append((df ** (k - m) * dg ** (K - k) * dk,
+                         ft ** (k - m) * gt ** (K - k) * gk))
     den = math.lcm(*(d for d, _ in summands))
     total = sum((den // d * a for d, a in summands), ft.ring.zero)
-    N = from_zz(total, GERM_VARS, scale=Fraction(1, den))
-    if not N:
+    M = from_zz(total, GERM_VARS, scale=Fraction(1, den))
+    if not M:
         raise ZeroOnComponent("function vanishes identically on the surface")
-    s._pullbacks[key] = N
-    return N
+    s._pullbacks[key] = m, M
+    return m, M
 
 
 def local_numerator(s, pt, G):
-    """The pullback numerator of G moved to the singular point pt, once per
-    (G, point)."""
+    """(m, M_loc): the factored pullback numerator of G moved to the
+    singular point pt, once per (G, point).
+
+    pt.h_local is f~ moved to the point, so the numerator there is
+    h_local^m * M_loc.  A valuation is additive: along every exceptional
+    curve E, nu_E of the numerator is m * nu_E(h_local) + nu_E(M_loc).
+    """
     if G not in pt._numerators:
-        pt._numerators[G] = pt.localize(_pullback_numerator(s, G, pt.chart))
+        m, M = _pullback_numerator(s, G, pt.chart)
+        pt._numerators[G] = m, pt.localize(M)
     return pt._numerators[G]
 
 
 def multiplicity_table(s, G, graph, name=None):
-    """Valuation of the ambient polynomial G along every vertex's curve."""
+    """Valuation of the ambient polynomial G along every vertex's curve,
+    read off the factored pullback numerator f~^m * M without forming it."""
     if not G:
         raise ZeroPolynomial("multiplicity of the zero polynomial")
     out = {}
@@ -483,12 +496,14 @@ def multiplicity_table(s, G, graph, name=None):
                 c for c in (0, 1, 2)
                 if dehomogenize(comp, c).total_degree() > 0
             )
-            N = _pullback_numerator(s, G, chart)
-            out[v.id] = multiplicity_of_factor(N, dehomogenize(comp, chart))
+            m, M = _pullback_numerator(s, G, chart)
+            out[v.id] = m + multiplicity_of_factor(M, dehomogenize(comp, chart))
         else:
             pt = singular_points(s)[v.point]
             res = point_resolution(s, v.point)
-            out[v.id] = res.track(local_numerator(s, pt, G))[v.local_id]
+            m, Mloc = local_numerator(s, pt, G)
+            out[v.id] = (m * res.track(pt.h_local)[v.local_id]
+                         + res.track(Mloc)[v.local_id])
     if name is not None:
         for vid, m in out.items():
             graph.vertices[vid].mult[name] = m

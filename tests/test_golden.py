@@ -2,9 +2,13 @@
 
 Each request in `golden/requests.json` is a benchmark-pool surface under one
 non-identity integer change of coordinates; the test pins its exit code and
-stdout.  All twelve were recorded before the singular-point search and
-localization moved to integer arithmetic, so that a reordering of singular
-points would show.  Eight (cuspidal_cubic, conic_tangent_line, e6_quartic,
+stdout.  Three more pin generic-polar output: `polar` on sextic c=1 and
+`compare --polar` of the sextic pair, under the monomial changes the
+benchmark draws for the form x + y + z, and `polar` on the two tangent
+cubics, unchanged.  They were recorded before the pullback numerator was
+kept factored as f~^m * M.  The first twelve were recorded before the
+singular-point search and localization moved to integer arithmetic, so that
+a reordering of singular points would show.  Eight (cuspidal_cubic, conic_tangent_line, e6_quartic,
 lines_5, lines_8, sextic_c1, conjugate_line_pairs, two_tangent_cubics) were
 re-recorded when JSON and DOT began to number vertices by the canonical
 labelling of `sislip.report`, which no longer breaks ties by input vertex id;

@@ -73,6 +73,44 @@ def test_parse_sum_accumulates_like_binary_addition():
     assert list(P("v - v + w + v").terms) == [(0, 1), (1, 0)]
 
 
+# A factor is (text, MPoly): a rational constant, a variable power, a
+# negated variable power (the minus binds tighter than ^) or a sum in
+# parentheses.
+_VAR_POWER = st.tuples(st.sampled_from(VW), st.integers(0, 3))
+_FACTORS = st.one_of(
+    st.builds(lambda n, d: (f"{n}/{d}" if d > 1 else f"{n}",
+                            MPoly.const(QQ, VW, Fraction(n, d))),
+              st.integers(0, 12), st.integers(1, 4)),
+    st.builds(lambda vk: (f"{vk[0]}^{vk[1]}", MPoly.var(QQ, VW, vk[0]) ** vk[1]),
+              _VAR_POWER),
+    st.builds(lambda vk: (f"-{vk[0]}^{vk[1]}", (-MPoly.var(QQ, VW, vk[0])) ** vk[1]),
+              _VAR_POWER),
+    st.builds(lambda i, c, j: (f"(v^{i} - {c}*w^{j})",
+                               MPoly.var(QQ, VW, "v") ** i - MPoly.var(QQ, VW, "w") ** j * c),
+              st.integers(0, 2), st.integers(0, 3), st.integers(0, 2)),
+)
+_SIGNED_TERMS = st.lists(
+    st.tuples(st.sampled_from("+-"), st.lists(_FACTORS, min_size=1, max_size=4)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200)
+@given(terms=_SIGNED_TERMS)
+def test_parse_matches_product_of_factors(terms):
+    # the oracle multiplies the factors left to right and adds the signed
+    # terms in order, so the term dicts must agree in order too
+    text, oracle = "", MPoly.zero(QQ, VW)
+    for sign, factors in terms:
+        text += f" {sign} " + "*".join(t for t, _ in factors)
+        prod = factors[0][1]
+        for _, f in factors[1:]:
+            prod = prod * f
+        oracle = oracle + prod if sign == "+" else oracle - prod
+    p = P(text)
+    assert list(p.terms.items()) == list(oracle.terms.items())
+
+
 def test_parse_error_has_position():
     with pytest.raises(ParseError) as exc:
         P("v^3 + + w")

@@ -1,6 +1,7 @@
 """Surface pipeline: validation, singular points, decorated graphs, rates."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,15 @@ from sislip.errors import (
     TangentConeNotReduced,
     ZeroOnComponent,
 )
-from sislip.poly import MPoly, is_squarefree, mgcd, parse_poly, resultant
+from sislip.poly import (
+    MPoly,
+    exact_div,
+    is_squarefree,
+    mgcd,
+    multiplicity_of_factor,
+    parse_poly,
+    resultant,
+)
 from sislip.resolve import GERM_VARS, detect_nodes
 from sislip.scalar import QQ, extend_field, is_zero
 
@@ -369,7 +378,62 @@ def test_pullback_numerator_matches_mpoly_sum(G):
         oracle = MPoly.zero(QQ, GERM_VARS)
         for k, part in G.homogeneous_parts().items():
             oracle = oracle + ft ** k * gt ** (K - k) * sis.dehomogenize(part, chart)
-        assert sis._pullback_numerator(s, G, chart) == oracle
+        m, M = sis._pullback_numerator(s, G, chart)
+        assert m == G.order_at_origin()
+        assert ft ** m * M == oracle
+
+
+def _full_numerator(s, G, chart):
+    """N = sum_k f~^k g~^(K-k) G_k~ as an explicit MPoly sum."""
+    ft = sis.dehomogenize(s.f, chart)
+    gt = sis.dehomogenize(s.g, chart)
+    K = G.total_degree()
+    N = MPoly.zero(QQ, GERM_VARS)
+    for k, part in G.homogeneous_parts().items():
+        N = N + ft ** k * gt ** (K - k) * sis.dehomogenize(part, chart)
+    return N
+
+
+def _strip(p, factors):
+    for c in factors:
+        while (q := exact_div(p, c)) is not None:
+            p = q
+    return p
+
+
+@pytest.mark.parametrize("surface", ["s_cubic", "s_pair_a", "s_two_cubics"])
+def test_factored_numerator_matches_full(request, surface):
+    # N = f~^m * M: the L-curve multiplicities, the valuations at every
+    # singular point and the strict polar germ must come out as from N
+    s = request.getfixturevalue(surface)
+    F = s.f - s.g
+    partials = [F.derivative(v) for v in AV]
+    rng = random.Random(surface)
+    gs = [A("x^2 - y*z + z^3"), A("2 + x*y - z^2")]  # ord 2; a constant term
+    while len(gs) < 4:
+        cs = [rng.randint(-3, 3) for _ in partials]
+        if any(cs):
+            gs.append(sum((p * c for p, c in zip(partials, cs)),
+                          MPoly.zero(QQ, AV)))
+    for G in gs:
+        for chart in (0, 1, 2):
+            m, M = sis._pullback_numerator(s, G, chart)
+            N = _full_numerator(s, G, chart)
+            for _name, comp in sis.components(s):
+                h = sis.dehomogenize(comp, chart)
+                if h.total_degree() > 0:
+                    assert m + multiplicity_of_factor(M, h) == \
+                        multiplicity_of_factor(N, h)
+        for ip, pt in enumerate(sis.singular_points(s)):
+            res = sis.point_resolution(s, ip)
+            m, Mloc = sis.local_numerator(s, pt, G)
+            Nloc = pt.localize(_full_numerator(s, G, pt.chart))
+            lin, rest = res.track(pt.h_local), res.track(Mloc)
+            assert {rid: m * lin[rid] + rest[rid] for rid in rest} == \
+                res.track(Nloc)
+            ratio = exact_div(_strip(Nloc, pt.components.values()),
+                              _strip(Mloc, pt.components.values()))
+            assert ratio is not None and ratio.total_degree() == 0
 
 
 def test_multiplicity_table_rejects_surface_equation(s_cubic):
