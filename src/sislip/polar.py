@@ -81,8 +81,8 @@ def _local_polar_data(s, pt, G):
     that move to constants.  The cone is reduced, so each component divides
     h_local once, and the components stay coprime over pt's field.  So
     stripping every component from M_loc leaves what stripping them from
-    N_loc leaves, divided by the nonzero constant c^m: the strict transform
-    of the polar, which N_loc is never formed to find.
+    N_loc would leave, divided by the nonzero constant c^m: the same strict
+    transform of the polar.
     """
     num = local_numerator(s, pt, G)
     strict = num[1]

@@ -493,7 +493,9 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             n = self.natural()
-            b = b ** n if isinstance(b, MPoly) else (b[0] ** n, [a * n for a in b[1]])
+            if isinstance(b, MPoly):
+                return b ** n
+            return b[0] ** n, [a * n for a in b[1]]
         return b
 
     def natural(self):
