@@ -81,10 +81,6 @@ class NotSuperisolated(SislipError):
     """A singular point of the tangent cone lies on the degree d+1 curve."""
 
 
-class InconsistentDivisor(SislipError):
-    """The principal-divisor identity could not be solved in integers."""
-
-
 class GenericityAlarm(SislipError):
     """Random samples meant to be generic failed the agreement certificate."""
 

@@ -288,13 +288,6 @@ class MPoly:
         terms = {e: co for e, co in terms.items() if not is_zero(co)}
         return MPoly(self.ctx, self.vars, terms)
 
-    def scale_var(self, var, c):
-        """Substitute var -> c * var (c a nonzero scalar)."""
-        c = as_scalar(self.ctx, c)
-        i = self.vars.index(var)
-        terms = {e: co * c ** e[i] for e, co in self.terms.items()}
-        return MPoly(self.ctx, self.vars, terms)
-
     def lift(self, ctx):
         """Reinterpret over a deeper context (coefficients unchanged)."""
         if ctx == self.ctx:

@@ -460,14 +460,6 @@ def scalar_inv(s):
     return make_algnum(ctx, [c * ginv for c in u])
 
 
-def scalar_div(a, b):
-    if isinstance(a, AlgNum) or isinstance(b, AlgNum):
-        return _as_frac_or_alg(a) * scalar_inv(b)
-    if b == 0:
-        raise DivisionByZero("division by zero scalar")
-    return Fraction(a) / b
-
-
 def extend_field(ctx, m, name=None):
     """Extend ctx by a root of the monic irreducible polynomial m.
 

@@ -6,6 +6,14 @@ resolves everything away from the singular points of the projectivized
 tangent cone C = {f = 0}; over each singular point the surface looks like a
 plane-curve germ cylinder, so the whole decorated graph is assembled from
 plane resolutions glued to one L-vertex per component of C.
+
+The singular points come from the components C_1, ..., C_r of C, which
+validation factors first: C is reduced, so Sing(C) is the union of the
+Sing(C_i) and of the pairwise intersections C_i n C_j.  Each Galois orbit is
+kept once, by the least pair (i, j), i <= j, of components through it.  A
+point is represented in chart 0, coordinates (y/x, z/x), when x != 0; in
+chart 1, coordinates (0, z/y), when x = 0 and y != 0; and in chart 2,
+coordinates (0, 0), when it is [0:0:1].
 """
 
 from __future__ import annotations
@@ -162,93 +170,188 @@ class SingPoint:
 
 
 def singular_points(s):
-    """One representative per conjugacy class of Sing(C), class size recorded."""
+    """One representative per Galois orbit of Sing(C), class size recorded.
+
+    C = C_1 u ... u C_r is reduced, so Sing(C) is the union of the Sing(C_i)
+    and of the pairwise intersections C_i n C_j.  Lines are smooth, and so
+    are conics unless they are two conjugate lines (`_own_points`).  Two
+    lines meet at the cross product of their coefficient vectors; every
+    other search is one `_common_zeros` call.
+
+    An orbit is kept only by the least pair (i, j), i <= j, of components
+    through it, where (i, i) means that C_i alone passes through it.  C_k has
+    rational coefficients, so an orbit lies on C_k entirely or not at all,
+    and one evaluation of C_k at the representative, over its field, decides
+    which.
+
+    Chart rule: chart 0, coordinates (y/x, z/x), if x != 0; chart 1,
+    coordinates (0, z/y), if x = 0 and y != 0; chart 2, coordinates (0, 0),
+    for [0:0:1].  Each representative lives over a field whose degree is its
+    class size.
+    """
     if s._points is not None:
         return s._points
+    forms = [comp for _name, comp in components(s)]
+    affine = [[dehomogenize(c, chart) for c in forms] for chart in range(3)]
     pts = []
-    f0 = dehomogenize(s.f, 0)
-    # affine chart x = 1 covers every singular point off the line x = 0
-    for ctx, v0, w0, size in _affine_singularities(f0):
-        pts.append(_make_point(s, 0, (v0, w0), ctx, size))
-    # the line x = 0, parametrized in chart y = 1, plus the point [0:0:1]
-    restrictions = []
-    for p in (s.f, s.f.derivative("x"), s.f.derivative("y"), s.f.derivative("z")):
-        q = dehomogenize(p, 1).set_var("v", 0)
-        if q:  # an identically-zero restriction imposes no condition
-            restrictions.append(univariate_coeffs(q, "w"))
-    shared = None
-    for cs in restrictions:
-        shared = cs if shared is None else _uni_gcd(shared, cs)
-    if shared and len(shared) > 1:
-        for qc, _e in factor_coeff_list(squarefree_part_coeffs(shared), QQ):
-            if len(qc) == 2:
-                ctx, z0 = QQ, -qc[0]
+    for j, cj in enumerate(forms):
+        for i in range(j + 1):
+            ci = forms[i]
+            if i == j:
+                found = _own_points(ci)
+            elif ci.total_degree() == cj.total_degree() == 1:
+                found = [_line_meet(ci, cj)]
             else:
-                ctx = extend_field(QQ, qc)
-                z0 = ctx.gen()
-            pts.append(_make_point(s, 1, (Fraction(0), z0), ctx, len(qc) - 1))
-    if all(
-        is_zero(dehomogenize(p, 2).terms.get((0, 0), Fraction(0)))
-        for p in (s.f, s.f.derivative("x"), s.f.derivative("y"), s.f.derivative("z"))
-    ):
-        pts.append(_make_point(s, 2, (Fraction(0), Fraction(0)), QQ, 1))
+                found = _common_zeros(ci, cj)
+            # a component through the point with a lower index than j (or
+            # any other one, for a point of C_i alone) owns a lesser pair
+            rivals = [k for k in range(len(forms) if i == j else j)
+                      if k != i]
+            for chart, coords, ctx, size in found:
+                env = dict(zip(GERM_VARS, coords))
+                if not any(is_zero(affine[chart][k].lift(ctx).evaluate(env))
+                           for k in rivals):
+                    pts.append(_make_point(s, chart, coords, ctx, size))
     s._points = pts
     return pts
 
 
-def _affine_singularities(f0):
-    """Conjugacy classes of singular points of an affine plane curve."""
-    if f0.total_degree() == 0:
+def _chart_point(x, y, z):
+    """The rational point [x:y:z] as (chart, coords, QQ, 1), by the chart rule."""
+    if x:
+        return 0, (y / x, z / x), QQ, 1
+    if y:
+        return 1, (Fraction(0), z / y), QQ, 1
+    return 2, (Fraction(0), Fraction(0)), QQ, 1
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _line_meet(a, b):
+    """The point where two distinct lines over QQ meet."""
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return _chart_point(*_cross(*(
+        [line.terms.get(e, Fraction(0)) for e in unit] for line in (a, b))))
+
+
+def _own_points(c):
+    """The singular points of one component over QQ, as `_common_zeros`.
+
+    A line is smooth.  A conic irreducible over QQ is smooth unless it is
+    two conjugate lines; then its symmetric matrix has rank 2, and they meet
+    at its kernel, a rational point: the cross product of two of its rows.
+    """
+    if c.total_degree() > 2:
+        return _common_zeros(c)
+    if c.total_degree() == 1:
+        return []
+    t = c.terms.get
+    rows = [(2 * t((2, 0, 0), 0), t((1, 1, 0), 0), t((1, 0, 1), 0)),
+            (t((1, 1, 0), 0), 2 * t((0, 2, 0), 0), t((0, 1, 1), 0)),
+            (t((1, 0, 1), 0), t((0, 1, 1), 0), 2 * t((0, 0, 2), 0))]
+    kernel = [_cross(rows[a], rows[b]) for a, b in ((1, 2), (0, 2), (0, 1))]
+    if sum(r * k for r, k in zip(rows[0], kernel[0])):  # the determinant
+        return []
+    return [_chart_point(*next(k for k in kernel if any(k)))]
+
+
+def _root(ctx, m):
+    """(field, root) for a monic irreducible m over ctx; no field for a line."""
+    if len(m) == 2:
+        return ctx, -m[0]
+    ext = extend_field(ctx, m)
+    return ext, ext.gen()
+
+
+def _shared_roots(polys, ctx):
+    """(field, root, degree over ctx) per irreducible factor over ctx of the
+    gcd in w of the polynomials polys, constant in v; an identically-zero
+    one imposes no condition."""
+    shared = None
+    for p in polys:
+        if not p:
+            continue
+        cs = univariate_coeffs(p, "w")
+        shared = cs if shared is None else _uni_gcd(shared, cs)
+        if len(shared) <= 1:
+            return
+    if shared is None:
+        return
+    for m, _e in factor_coeff_list(squarefree_part_coeffs(shared), ctx):
+        yield *_root(ctx, m), len(m) - 1
+
+
+def _common_zeros(P, Q=None):
+    """Galois orbits of Sing{P = 0}, or, given Q, of {P = 0} n {Q = 0}.
+
+    P and Q are coprime forms over QQ.  Yields (chart, coords, ctx, size)
+    by the chart rule of `singular_points`: the points off x = 0 come from
+    `_affine_singularities` in chart 0; those on x = 0 from the conditions
+    restricted to it, in chart 1; then [0:0:1].
+    """
+    conds = [P, Q] if Q is not None else \
+        [P] + [P.derivative(v) for v in AMBIENT_VARS]
+    for ctx, v0, w0, size in _affine_singularities(
+            dehomogenize(P, 0), None if Q is None else dehomogenize(Q, 0)):
+        yield 0, (v0, w0), ctx, size
+    on_x0 = [dehomogenize(p, 1).set_var("v", 0) for p in conds]
+    for ctx, z0, size in _shared_roots(on_x0, QQ):
+        yield 1, (Fraction(0), z0), ctx, size
+    if all(is_zero(dehomogenize(p, 2).terms.get((0, 0), Fraction(0)))
+           for p in conds):
+        yield _chart_point(Fraction(0), Fraction(0), Fraction(1))
+
+
+def _w_regular(F):
+    """True when F has positive degree in w and a constant lead there."""
+    d = F.degree_in("w")
+    return d > 0 and F.coeff_of("w", d).total_degree() == 0
+
+
+def _affine_singularities(f0, g0=None):
+    """Conjugacy classes (ctx, v0, w0, size) of the singular points of the
+    affine curve f0 = 0, or, given a coprime g0, of its points on g0 = 0.
+
+    A shear v -> v + lam*w makes the leads in w constant.  Then the roots of
+    Res_w(f0, g0) are the v-coordinates of the points of f0 = g0 = 0, and
+    the singular points of f0 = 0 lie over repeated roots of its
+    discriminant: ord_{v0} Res_w(F, F_w) is the sum of I_p(F, F_w) over the
+    points p above v0, which is m(m-1) >= 2 or more at a point of
+    multiplicity m >= 2.  The gcd in w of the conditions, over the field of
+    each root v0, gives the points above it.
+    """
+    curves = [f0] if g0 is None else [f0, g0]
+    if any(c.total_degree() == 0 for c in curves):
         return
     v = MPoly.var(QQ, GERM_VARS, "v")
     w = MPoly.var(QQ, GERM_VARS, "w")
-    for lam in range(f0.total_degree() + 2):
-        F = f0.evaluate({"v": v + lam * w, "w": w}) if lam else f0
-        d = F.degree_in("w")
-        lead = F.coeff_of("w", d)
-        if d == 0 or is_zero(lead.terms.get((0, 0), Fraction(0))) or \
-                lead.total_degree() > 0:
+    for lam in range(sum(c.total_degree() for c in curves) + 2):
+        sheared = [c.evaluate({"v": v + lam * w, "w": w}) if lam else c
+                   for c in curves]
+        if not all(_w_regular(c) for c in sheared):
             continue
-        R = resultant(F, F.derivative("w"), "w")
+        if g0 is None:
+            F = sheared[0]
+            conds = [F, F.derivative("v"), F.derivative("w")]
+            R = resultant(F, conds[2], "w")
+        else:
+            conds = sheared
+            R = resultant(*conds, "w")
         if not R:
             continue
-        Fv = F.derivative("v")
-        Fw = F.derivative("w")
-        out = []
-        # The lead of F in w is a constant, so ord_{v0} R is the sum of
-        # I_p(F, F_w) >= m(m-1) >= 2 over the points p above v0: a singular
-        # point lies only over a repeated factor of R, a root of gcd(R, R').
         rc = univariate_coeffs(R, "v") if R.total_degree() > 0 else []
-        repeated = repeated_part_coeffs(rc)
-        if len(repeated) > 1:
-            for qc, _e in factor_coeff_list(repeated, QQ):
-                if len(qc) == 2:
-                    ctx1, v0 = QQ, -qc[0]
-                else:
-                    ctx1 = extend_field(QQ, qc)
-                    v0 = ctx1.gen()
-                shared = None
-                for p in (F, Fv, Fw):
-                    sp = p.lift(ctx1).set_var("v", v0)
-                    if not sp:  # identically zero: no condition on w
-                        continue
-                    cs = univariate_coeffs(sp, "w")
-                    shared = cs if shared is None else _uni_gcd(shared, cs)
-                    if len(shared) <= 1:
-                        break
-                if not shared or len(shared) <= 1:
-                    continue
-                for wq, _e2 in factor_coeff_list(
-                    squarefree_part_coeffs(shared), ctx1
-                ):
-                    if len(wq) == 2:
-                        ctx2, w0 = ctx1, -wq[0]
-                    else:
-                        ctx2 = extend_field(ctx1, wq)
-                        w0 = ctx2.gen()
-                    size = (len(qc) - 1) * (len(wq) - 1)
-                    out.append((ctx2, _sc.as_scalar(ctx2, v0) + lam * w0, w0, size))
-        yield from out
+        roots = repeated_part_coeffs(rc) if g0 is None else rc
+        if len(roots) <= 1:
+            return
+        for qc, _e in factor_coeff_list(roots, QQ):
+            ctx1, v0 = _root(QQ, qc)
+            above = [p.lift(ctx1).set_var("v", v0) for p in conds]
+            for ctx2, w0, k in _shared_roots(above, ctx1):
+                yield (ctx2, _sc.as_scalar(ctx2, v0) + lam * w0, w0,
+                       (len(qc) - 1) * k)
         return
     raise GenericityAlarm("no shear made the singular-point search regular")
 

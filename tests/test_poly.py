@@ -182,12 +182,15 @@ def test_shift_is_translation(p, c, var):
     assert pr.shift(var, c * r) == pr.evaluate(
         {**env, var: MPoly.var(ctx, VW, var) + c * r})
     # results keep p's context; a scalar outside it is refused, not joined
-    assert p.scale_var(var, c).ctx == QQ
-    assert pr.shift(var, c).ctx == pr.scale_var(var, c * r).ctx == ctx
+    scaled = {u: MPoly.var(QQ, VW, u) for u in VW}
+    scaled[var] = scaled[var] * c
+    assert p.evaluate(scaled).ctx == QQ
+    assert pr.shift(var, c).ctx == pr.evaluate(
+        {**env, var: MPoly.var(ctx, VW, var) * (c * r)}).ctx == ctx
     with pytest.raises(ContextMismatch):
         p.shift(var, c + r)
     with pytest.raises(ContextMismatch):
-        p.scale_var(var, r)
+        P("v + w").evaluate({"v": r, "w": r})
 
 
 def test_exact_div_long_division_oracle():

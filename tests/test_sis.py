@@ -7,7 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import graph_matrix, is_negative_definite
+from util import (
+    graph_matrix,
+    is_negative_definite,
+    whole_curve_singular_points,
+)
 
 from sislip import sis
 from sislip.errors import (
@@ -216,6 +220,59 @@ def test_singular_points_under_linear_change(text, m):
         for p in (f, f.derivative("v"), f.derivative("w")):
             value = p.set_var("v", c1).set_var("w", c2)
             assert is_zero(value.terms.get((0, 0), Fraction(0)))
+
+
+# the pool, plus surfaces whose singular points reach each branch of the
+# component search
+ORACLE_SURFACES = POOL_SURFACES + [
+    # three lines through [0:0:1]; the fourth, z, meets x on x = 0
+    "x*y*(x - y)*z + (x + 2*y + 3*z)^5",
+    # two conics meeting at a conjugate pair on x = 0
+    "(y^2 - 2*z^2 + x*z)*(y^2 - 2*z^2 + x*y) + (x + y + z)^5",
+    # each component's own cusp is also where the two meet
+    "(y^3 - z^2*x)*(y^3 + z^2*x) + (x + y + z)^7",
+    # the deep point is singular on both cubics
+    "(z*x^2 + y^3)*(x^3 + z*y^2) + z^7",
+]
+
+
+def _point_profile(pts):
+    return sorted((pt.chart, pt.class_size, pt.h_local.order_at_origin(),
+                   tuple(sorted(pt.branch_names))) for pt in pts)
+
+
+def _assert_matches_whole_curve_search(s):
+    found = sis.singular_points(s)
+    oracle = [sis._make_point(s, *p) for p in whole_curve_singular_points(s.f)]
+    assert sum(pt.class_size for pt in found) == \
+        sum(pt.class_size for pt in oracle)
+    assert _point_profile(found) == _point_profile(oracle)
+    return _point_profile(found)
+
+
+@pytest.mark.parametrize("text", ORACLE_SURFACES)
+def test_component_search_matches_whole_curve_search(text):
+    _assert_matches_whole_curve_search(sis.from_polynomial(A(text)))
+
+
+def test_component_search_reaches_every_chart_and_shared_points():
+    lines, conics, sextic, cubics = (
+        _assert_matches_whole_curve_search(sis.from_polynomial(A(t)))
+        for t in ORACLE_SURFACES[-4:]
+    )
+    # [0:0:1] on three lines, found once; [0:1:0] on x = 0
+    assert (2, 1, 3, ("C1", "C2", "C3")) in lines
+    assert {chart for chart, *_ in lines} == {0, 1, 2}
+    assert (1, 2, 2, ("C1", "C2")) in conics
+    # a point singular on a component and on the other: one class each
+    assert sextic.count((0, 1, 4, ("C1", "C1", "C2", "C2"))) == 1
+    assert cubics.count((2, 1, 4, ("C1", "C1", "C2", "C2"))) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=st.sampled_from(ORACLE_SURFACES), m=matrices)
+def test_component_search_matches_whole_curve_search_under_change(text, m):
+    _assert_matches_whole_curve_search(sis.from_polynomial(_change(A(text), m)))
 
 
 @pytest.fixture(scope="module")

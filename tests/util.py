@@ -2,8 +2,18 @@
 
 from fractions import Fraction
 
-from sislip.poly import MPoly
-from sislip.scalar import QQ
+from sislip import sis
+from sislip.poly import (
+    MPoly,
+    _uni_gcd,
+    factor_coeff_list,
+    repeated_part_coeffs,
+    resultant,
+    squarefree_part_coeffs,
+    univariate_coeffs,
+)
+from sislip.resolve import GERM_VARS
+from sislip.scalar import QQ, as_scalar, extend_field, is_zero
 
 AV = ("x", "y", "z")
 
@@ -120,3 +130,76 @@ def linear_change(F, rng, lo=-2, hi=2):
         for i in range(3)
     }
     return F.evaluate(env)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle for the singular points of a tangent cone
+#
+# The whole-curve search that sislip used before it searched component by
+# component: the discriminant of the whole degree-d curve in the chart x = 1,
+# then the line x = 0 in the chart y = 1, then the point [0:0:1].
+
+def whole_curve_singular_points(f):
+    """(chart, coords, ctx, size) per conjugacy class of Sing{f = 0}."""
+    dehom = sis.dehomogenize
+    partials = [f.derivative(v) for v in AV]
+    out = [(0, (v0, w0), ctx, size)
+           for ctx, v0, w0, size in _whole_curve_affine(dehom(f, 0))]
+    shared = None
+    for p in [f, *partials]:
+        q = dehom(p, 1).set_var("v", 0)
+        if q:
+            cs = univariate_coeffs(q, "w")
+            shared = cs if shared is None else _uni_gcd(shared, cs)
+    if shared and len(shared) > 1:
+        for qc, _e in factor_coeff_list(squarefree_part_coeffs(shared), QQ):
+            ctx, z0 = _root(QQ, qc)
+            out.append((1, (Fraction(0), z0), ctx, len(qc) - 1))
+    if all(is_zero(dehom(p, 2).terms.get((0, 0), Fraction(0)))
+           for p in [f, *partials]):
+        out.append((2, (Fraction(0), Fraction(0)), QQ, 1))
+    return out
+
+
+def _root(ctx, m):
+    if len(m) == 2:
+        return ctx, -m[0]
+    ext = extend_field(ctx, m)
+    return ext, ext.gen()
+
+
+def _whole_curve_affine(f0):
+    if f0.total_degree() == 0:
+        return []
+    v = MPoly.var(QQ, GERM_VARS, "v")
+    w = MPoly.var(QQ, GERM_VARS, "w")
+    for lam in range(f0.total_degree() + 2):
+        F = f0.evaluate({"v": v + lam * w, "w": w}) if lam else f0
+        d = F.degree_in("w")
+        if d == 0 or F.coeff_of("w", d).total_degree() > 0:
+            continue
+        R = resultant(F, F.derivative("w"), "w")
+        if not R:
+            continue
+        conds = (F, F.derivative("v"), F.derivative("w"))
+        rc = univariate_coeffs(R, "v") if R.total_degree() > 0 else []
+        repeated = repeated_part_coeffs(rc)
+        out = []
+        if len(repeated) <= 1:
+            return out
+        for qc, _e in factor_coeff_list(repeated, QQ):
+            ctx1, v0 = _root(QQ, qc)
+            shared = None
+            for p in conds:
+                sp = p.lift(ctx1).set_var("v", v0)
+                if sp:
+                    cs = univariate_coeffs(sp, "w")
+                    shared = cs if shared is None else _uni_gcd(shared, cs)
+            if not shared or len(shared) <= 1:
+                continue
+            for wq, _e2 in factor_coeff_list(squarefree_part_coeffs(shared), ctx1):
+                ctx2, w0 = _root(ctx1, wq)
+                size = (len(qc) - 1) * (len(wq) - 1)
+                out.append((ctx2, as_scalar(ctx2, v0) + lam * w0, w0, size))
+        return out
+    raise AssertionError("no shear made the whole-curve search regular")
