@@ -238,7 +238,8 @@ def _line_meet(a, b):
 
 
 def _own_points(c):
-    """The singular points of one component over QQ, as `_common_zeros`.
+    """The singular points of one component over QQ, in the form
+    (chart, coords, ctx, size) that `_common_zeros` yields.
 
     A line is smooth.  A conic irreducible over QQ is smooth unless it is
     two conjugate lines; then its symmetric matrix has rank 2, and they meet
