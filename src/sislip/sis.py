@@ -173,10 +173,10 @@ def singular_points(s):
     """One representative per Galois orbit of Sing(C), class size recorded.
 
     C = C_1 u ... u C_r is reduced, so Sing(C) is the union of the Sing(C_i)
-    and of the pairwise intersections C_i n C_j.  Lines are smooth, and so
-    are conics unless they are two conjugate lines (`_own_points`).  Two
+    and of the pairwise intersections C_i n C_j.  Lines are smooth, and two
     lines meet at the cross product of their coefficient vectors; every
-    other search is one `_common_zeros` call.
+    other search is one `_common_zeros` call.  A conic irreducible over QQ
+    is searched too: it may be two conjugate lines.
 
     An orbit is kept only by the least pair (i, j), i <= j, of components
     through it, where (i, i) means that C_i alone passes through it.  C_k has
@@ -198,7 +198,7 @@ def singular_points(s):
         for i in range(j + 1):
             ci = forms[i]
             if i == j:
-                found = _own_points(ci)
+                found = _common_zeros(ci) if ci.total_degree() > 1 else []
             elif ci.total_degree() == cj.total_degree() == 1:
                 found = [_line_meet(ci, cj)]
             else:
@@ -225,38 +225,13 @@ def _chart_point(x, y, z):
     return 2, (Fraction(0), Fraction(0)), QQ, 1
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 def _line_meet(a, b):
-    """The point where two distinct lines over QQ meet."""
+    """The point where two distinct lines over QQ meet: the cross product
+    of their coefficient vectors."""
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return _chart_point(*_cross(*(
-        [line.terms.get(e, Fraction(0)) for e in unit] for line in (a, b))))
-
-
-def _own_points(c):
-    """The singular points of one component over QQ, in the form
-    (chart, coords, ctx, size) that `_common_zeros` yields.
-
-    A line is smooth.  A conic irreducible over QQ is smooth unless it is
-    two conjugate lines; then its symmetric matrix has rank 2, and they meet
-    at its kernel, a rational point: the cross product of two of its rows.
-    """
-    if c.total_degree() > 2:
-        return _common_zeros(c)
-    if c.total_degree() == 1:
-        return []
-    t = c.terms.get
-    rows = [(2 * t((2, 0, 0), 0), t((1, 1, 0), 0), t((1, 0, 1), 0)),
-            (t((1, 1, 0), 0), 2 * t((0, 2, 0), 0), t((0, 1, 1), 0)),
-            (t((1, 0, 1), 0), t((0, 1, 1), 0), 2 * t((0, 0, 2), 0))]
-    kernel = [_cross(rows[a], rows[b]) for a, b in ((1, 2), (0, 2), (0, 1))]
-    if sum(r * k for r, k in zip(rows[0], kernel[0])):  # the determinant
-        return []
-    return [_chart_point(*next(k for k in kernel if any(k)))]
+    p, q = ([line.terms.get(e, Fraction(0)) for e in unit] for line in (a, b))
+    return _chart_point(p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                        p[0] * q[1] - p[1] * q[0])
 
 
 def _root(ctx, m):

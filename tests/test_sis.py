@@ -223,17 +223,24 @@ def test_singular_points_under_linear_change(text, m):
 
 
 # the pool, plus surfaces whose singular points reach each branch of the
-# component search
+# component search, each with profile entries it must contain, and how often
 ORACLE_SURFACES = POOL_SURFACES + [
-    # three lines through [0:0:1]; the fourth, z, meets x on x = 0
+    # three lines through [0:0:1], found once; the fourth, z, meets x on x = 0
     "x*y*(x - y)*z + (x + 2*y + 3*z)^5",
     # two conics meeting at a conjugate pair on x = 0
     "(y^2 - 2*z^2 + x*z)*(y^2 - 2*z^2 + x*y) + (x + y + z)^5",
-    # each component's own cusp is also where the two meet
+    # each component's own cusp is also where the two meet: one class
     "(y^3 - z^2*x)*(y^3 + z^2*x) + (x + y + z)^7",
-    # the deep point is singular on both cubics
+    # the deep point is singular on both cubics: one class
     "(z*x^2 + y^3)*(x^3 + z*y^2) + z^7",
 ]
+EXPECTED_PROFILE = {
+    ORACLE_SURFACES[-4]: {(2, 1, 3, ("C1", "C2", "C3")): 1,
+                          (1, 1, 2, ("C2", "C4")): 1},
+    ORACLE_SURFACES[-3]: {(1, 2, 2, ("C1", "C2")): 1},
+    ORACLE_SURFACES[-2]: {(0, 1, 4, ("C1", "C1", "C2", "C2")): 1},
+    ORACLE_SURFACES[-1]: {(2, 1, 4, ("C1", "C1", "C2", "C2")): 1},
+}
 
 
 def _point_profile(pts):
@@ -252,21 +259,9 @@ def _assert_matches_whole_curve_search(s):
 
 @pytest.mark.parametrize("text", ORACLE_SURFACES)
 def test_component_search_matches_whole_curve_search(text):
-    _assert_matches_whole_curve_search(sis.from_polynomial(A(text)))
-
-
-def test_component_search_reaches_every_chart_and_shared_points():
-    lines, conics, sextic, cubics = (
-        _assert_matches_whole_curve_search(sis.from_polynomial(A(t)))
-        for t in ORACLE_SURFACES[-4:]
-    )
-    # [0:0:1] on three lines, found once; [0:1:0] on x = 0
-    assert (2, 1, 3, ("C1", "C2", "C3")) in lines
-    assert {chart for chart, *_ in lines} == {0, 1, 2}
-    assert (1, 2, 2, ("C1", "C2")) in conics
-    # a point singular on a component and on the other: one class each
-    assert sextic.count((0, 1, 4, ("C1", "C1", "C2", "C2"))) == 1
-    assert cubics.count((2, 1, 4, ("C1", "C1", "C2", "C2"))) == 1
+    profile = _assert_matches_whole_curve_search(sis.from_polynomial(A(text)))
+    for entry, count in EXPECTED_PROFILE.get(text, {}).items():
+        assert profile.count(entry) == count
 
 
 @settings(max_examples=30, deadline=None)
