@@ -17,14 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenericityAlarm
-from .poly import MPoly, exact_div, mgcd
+from .poly import MPoly, exact_div, squarefree_part
 from .resolve import resolve_germ
+from .scalar import is_zero
 from .sis import (
     AMBIENT_VARS,
     DecoratedGraph,
     DVertex,
+    _pullback_numerator,
     build_gamma,
     components,
+    dehomogenize,
     inner_rates,
     l_node_self_int,
     local_numerator,
@@ -59,48 +62,28 @@ def partials_table(s, graph=None):
     return tuple(out)
 
 
-def _radical(p):
-    """Squarefree part of p: p divided by gcd(p, all partials)."""
-    g = p
-    for var in p.vars:
-        d = p.derivative(var)
-        if d:
-            g = mgcd(g, d)
-    if g.total_degree() == 0:
-        return p
-    q = exact_div(p, g)
-    assert q is not None, "radical division failed"
-    return q
-
-
 def _local_polar_data(s, pt, G):
     """(reduced local polar germ or None, (m, M_loc) from local_numerator).
 
-    The numerator at the point is N_loc = h_local^m * M_loc, and h_local is
-    c times the product of pt.components, c the product of the components
-    that move to constants.  The cone is reduced, so each component divides
-    h_local once, and the components stay coprime over pt's field.  So
-    stripping every component from M_loc leaves what stripping them from
-    N_loc would leave, divided by the nonzero constant c^m: the same strict
-    transform of the polar.
+    The pullback numerator is f~^m * M in pt's chart.  The cone is reduced,
+    so each component divides f~ once, and stripping every component that
+    is non-constant in the chart from M leaves the strict transform of the
+    polar.  The strip and the radical run over QQ, once, before the move to
+    the point: a component not through the point is a unit of the local
+    ring, and a gcd does not change under a field extension.  So the germ
+    is reduced, and coprime to every local factor, since each component is
+    irreducible over QQ and divides it no more.
     """
+    _m, M = _pullback_numerator(s, G, pt.chart)
+    for _name, comp in components(s):
+        h = dehomogenize(comp, pt.chart)
+        if h.total_degree() > 0:
+            while (q := exact_div(M, h)) is not None:
+                M = q
     num = local_numerator(s, pt, G)
-    strict = num[1]
-    for cloc in pt.components.values():
-        while True:
-            q = exact_div(strict, cloc)
-            if q is None:
-                break
-            strict = q
-    if strict.order_at_origin() == 0:
+    if not is_zero(pt.value(M)):
         return None, num  # the polar misses this singular point
-    rad = _radical(strict)
-    for name, comp in pt.local_factors.items():
-        if mgcd(rad, comp).total_degree() > 0:
-            raise GenericityAlarm(
-                f"polar sample contains a branch of component {name}"
-            )
-    return rad, num
+    return pt.localize(squarefree_part(M)), num
 
 
 @dataclass
@@ -142,9 +125,8 @@ def extended_polar_graph(s, G, l_mults):
         if pol is None:
             res = base
         else:
-            factors = dict(pt.local_factors)
-            factors[POLAR_TAG] = pol
-            res = resolve_germ(pt.h_local * pol, pt.ctx, factors=factors)
+            res = resolve_germ(None, pt.ctx,
+                               factors={**pt.local_factors, POLAR_TAG: pol})
         local = res.dual_graph()
         n_new = len(local.vertices) - len(base.dual_graph().vertices)
         if n_new > MAX_EXTRA_BLOWUPS:

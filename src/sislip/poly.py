@@ -311,31 +311,22 @@ class MPoly:
         for v in env.values():
             if isinstance(v, MPoly):
                 target = (v.ctx, v.vars)
-        if target is None:
-            # pure scalar evaluation
-            total = Fraction(0)
-            for e, c in self.terms.items():
-                val = c
-                for i, name in enumerate(self.vars):
-                    if e[i]:
-                        val = val * as_scalar(self.ctx, env[name]) ** e[i]
-                total = total + val
-            return total
-        ctx, tvars = target
         pows = {}
 
         def power(name, k):
             key = (name, k)
             if key not in pows:
                 base = env[name]
-                if isinstance(base, (int, Fraction, AlgNum)):
-                    base = MPoly.const(ctx, tvars, base)
+                if target is None:
+                    base = as_scalar(self.ctx, base)
+                elif isinstance(base, (int, Fraction, AlgNum)):
+                    base = MPoly.const(*target, base)
                 pows[key] = base ** k
             return pows[key]
 
-        total = MPoly.zero(ctx, tvars)
+        total = Fraction(0) if target is None else MPoly.zero(*target)
         for e, c in self.terms.items():
-            val = MPoly.const(ctx, tvars, c)
+            val = c if target is None else MPoly.const(*target, c)
             for i, name in enumerate(self.vars):
                 if e[i]:
                     val = val * power(name, e[i])
@@ -827,6 +818,18 @@ def repeated_part_coeffs(a):
     return squarefree_part_coeffs(_gcd_with_derivative(a))
 
 
+def _gcd_with_partials(p):
+    """gcd(p, every partial of p), monic; the chain stops at the first
+    constant gcd, which it returns."""
+    g = p
+    for i, var in enumerate(p.vars):
+        if any(e[i] for e in p.terms):
+            g = mgcd(g, p.derivative(var))
+            if g.total_degree() == 0:
+                break
+    return g
+
+
 def is_squarefree(p):
     """Squarefree test for a nonzero MPoly over a field of characteristic 0.
 
@@ -835,14 +838,18 @@ def is_squarefree(p):
     """
     if not p:
         raise ZeroPolynomial("squarefree test of zero polynomial")
-    g = p
-    for i, var in enumerate(p.vars):
-        if not any(e[i] for e in p.terms):
-            continue
-        g = mgcd(g, p.derivative(var))
-        if g.total_degree() == 0:
-            return True
-    return g.total_degree() == 0
+    return _gcd_with_partials(p).total_degree() == 0
+
+
+def squarefree_part(p):
+    """The radical of a nonzero p in characteristic 0: p over gcd(p, all
+    partials)."""
+    g = _gcd_with_partials(p)
+    if g.total_degree() == 0:
+        return p
+    q = exact_div(p, g)
+    assert q is not None, "a gcd divides p"
+    return q
 
 
 def resultant(p, q, var):

@@ -385,7 +385,8 @@ def resolve_germ(germ, ctx=None, factors=None):
     ``GermCurve`` was checked when it was built.  ``factors`` optionally
     names the components whose strict-transform branches should be tagged
     on the arrows; their product must equal the germ up to a unit, and they
-    must be reduced and pairwise coprime (see ``Resolution``).
+    must be reduced and pairwise coprime (see ``Resolution``).  With
+    ``factors`` and ``ctx`` given, the germ is not read and may be None.
     """
     if isinstance(germ, GermCurve) or ctx is None:
         ctx = germ.ctx

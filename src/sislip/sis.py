@@ -92,7 +92,7 @@ def validate(f_d, f_dplus1):
     if mgcd(f_d, f_dplus1).total_degree() > 0:
         raise NotSuperisolated("the two forms share a component")
     for pt in singular_points(s):
-        if is_zero(pt.unit.terms.get((0, 0), Fraction(0))):
+        if is_zero(pt.value(dehomogenize(s.g, pt.chart))):
             raise NotSuperisolated(
                 "a singular point of the tangent cone lies on the degree-(d+1) curve"
             )
@@ -153,11 +153,10 @@ class SingPoint:
     chart: int
     coords: tuple            # affine coordinates in the chart
     class_size: int
-    # the local data is filled in by _make_point, all of it through localize
-    h_local: MPoly = field(init=False)     # tangent cone germ, in (v, w)
-    unit: MPoly = field(init=False)        # degree-(d+1) form (unit iff SIS)
-    components: dict = field(init=False)   # name -> non-constant local germ
-    local_factors: dict = field(init=False)  # the components of order >= 1
+    # the germ is filled in by _make_point: only the components through the
+    # point are localized, and h_local is f~ there up to a unit
+    local_factors: dict = field(init=False)  # name -> local germ, order >= 1
+    h_local: MPoly = field(init=False)     # product of the local factors
     is_odp: bool = field(init=False)
     branch_names: list = field(init=False)  # one component name per branch
     _numerators: dict = field(default_factory=dict, init=False, repr=False)
@@ -167,6 +166,10 @@ class SingPoint:
         point sits at the origin of (v, w)."""
         c1, c2 = self.coords
         return p.lift(self.ctx).shift("v", c1).shift("w", c2)
+
+    def value(self, p):
+        """The chart polynomial p evaluated at the point, over its field."""
+        return p.lift(self.ctx).evaluate(dict(zip(GERM_VARS, self.coords)))
 
 
 def singular_points(s):
@@ -179,10 +182,11 @@ def singular_points(s):
     is searched too: it may be two conjugate lines.
 
     An orbit is kept only by the least pair (i, j), i <= j, of components
-    through it, where (i, i) means that C_i alone passes through it.  C_k has
-    rational coefficients, so an orbit lies on C_k entirely or not at all,
-    and one evaluation of C_k at the representative, over its field, decides
-    which.
+    through it, where (i, i) means that C_i alone passes through it: the
+    first one or two names of the point's local factors must be C_i, C_j.
+    C_k has rational coefficients, so an orbit lies on C_k entirely or not
+    at all, and one evaluation of C_k at the representative, over its
+    field, decides which.
 
     Chart rule: chart 0, coordinates (y/x, z/x), if x != 0; chart 1,
     coordinates (0, z/y), if x = 0 and y != 0; chart 2, coordinates (0, 0),
@@ -191,27 +195,21 @@ def singular_points(s):
     """
     if s._points is not None:
         return s._points
-    forms = [comp for _name, comp in components(s)]
-    affine = [[dehomogenize(c, chart) for c in forms] for chart in range(3)]
+    comps = components(s)
     pts = []
-    for j, cj in enumerate(forms):
-        for i in range(j + 1):
-            ci = forms[i]
+    for j, (nj, cj) in enumerate(comps):
+        for i, (ni, ci) in enumerate(comps[:j + 1]):
             if i == j:
                 found = _common_zeros(ci) if ci.total_degree() > 1 else []
             elif ci.total_degree() == cj.total_degree() == 1:
                 found = [_line_meet(ci, cj)]
             else:
                 found = _common_zeros(ci, cj)
-            # a component through the point with a lower index than j (or
-            # any other one, for a point of C_i alone) owns a lesser pair
-            rivals = [k for k in range(len(forms) if i == j else j)
-                      if k != i]
-            for chart, coords, ctx, size in found:
-                env = dict(zip(GERM_VARS, coords))
-                if not any(is_zero(affine[chart][k].lift(ctx).evaluate(env))
-                           for k in rivals):
-                    pts.append(_make_point(s, chart, coords, ctx, size))
+            own = [ni] if i == j else [ni, nj]
+            for found_pt in found:
+                pt = _make_point(s, *found_pt)
+                if list(pt.local_factors)[:2] == own:
+                    pts.append(pt)
     s._points = pts
     return pts
 
@@ -333,19 +331,22 @@ def _affine_singularities(f0, g0=None):
 
 
 def _make_point(s, chart, coords, ctx, size):
+    """The point with its germ of C.
+
+    Each component is evaluated at the point once; only those through it
+    are localized.  The others are units of the local ring, so h_local, the
+    product of the local factors, is f~ at the point times a unit: every
+    order, valuation and tangent line is that of f~.
+    """
     pt = SingPoint(ctx, chart, coords, size)
-    pt.h_local = pt.localize(dehomogenize(s.f, chart))
-    pt.unit = pt.localize(dehomogenize(s.g, chart))
-    pt.components = {}
+    pt.local_factors = {}
     for name, comp in components(s):
-        loc = pt.localize(dehomogenize(comp, chart))
-        if loc.total_degree() > 0:
-            pt.components[name] = loc
-    pt.local_factors = {name: loc for name, loc in pt.components.items()
-                        if loc.order_at_origin() >= 1}
+        h = dehomogenize(comp, chart)
+        if is_zero(pt.value(h)):
+            pt.local_factors[name] = pt.localize(h)
     pt.branch_names = [name for name, loc in pt.local_factors.items()
                        for _ in range(loc.order_at_origin())]
-    h = pt.h_local
+    h = pt.h_local = math.prod(pt.local_factors.values())
     pt.is_odp = h.order_at_origin() == 2 and _distinct_tangent_lines(h) == 2
     return pt
 
@@ -552,9 +553,10 @@ def local_numerator(s, pt, G):
     """(m, M_loc): the factored pullback numerator of G moved to the
     singular point pt, once per (G, point).
 
-    pt.h_local is f~ moved to the point, so the numerator there is
-    h_local^m * M_loc.  A valuation is additive: along every exceptional
-    curve E, nu_E of the numerator is m * nu_E(h_local) + nu_E(M_loc).
+    pt.h_local is f~ moved to the point, times a unit, so the numerator
+    there is h_local^m * M_loc times a unit.  A valuation is additive and
+    zero on a unit: along every exceptional curve E, nu_E of the numerator
+    is m * nu_E(h_local) + nu_E(M_loc).
     """
     if G not in pt._numerators:
         m, M = _pullback_numerator(s, G, pt.chart)

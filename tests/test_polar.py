@@ -4,11 +4,11 @@ import math
 import random
 
 import pytest
-from util import linear_change
+from util import linear_change, per_point_polar_germ
 
 from sislip import polar, sis
 from sislip.errors import GenericityAlarm
-from sislip.poly import is_squarefree, parse_poly
+from sislip.poly import exact_div, is_squarefree, parse_poly
 
 AV = ("x", "y", "z")
 
@@ -106,7 +106,8 @@ def test_generic_polar_pair_b(s_pair_b):
 
 def test_polar_germ_reduced_with_local_factors(s_pair_a):
     # the combined resolution of (tangent cone) * (polar) trusts its factors
-    # to be reduced and coprime; _radical and the mgcd check provide it
+    # to be reduced and coprime; the radical over QQ of M with every
+    # component stripped provides it
     p = polar.generic_polar(s_pair_a, k=5, seed=0)
     met = 0
     for pt in sis.singular_points(s_pair_a):
@@ -116,6 +117,31 @@ def test_polar_germ_reduced_with_local_factors(s_pair_a):
         met += 1
         assert is_squarefree(math.prod([pol, *pt.local_factors.values()]))
     assert met
+
+
+@pytest.mark.parametrize("surface", ["s_pair_a", "s_pair_b", "s_two_cubics"])
+def test_polar_germ_matches_per_point_oracle(request, surface):
+    # built over QQ and moved once, the germ is the one the per-point path
+    # over the point's field gives, up to a nonzero constant
+    s = request.getfixturevalue(surface)
+    partials = polar.surface_partials(s)
+    rng = random.Random(surface)
+    gs = []
+    for _sample in range(2):
+        cs = [rng.randint(1, polar.COEFF_BOX) for _ in partials]
+        gs.append(sum((p * c for p, c in zip(partials, cs[1:])),
+                      partials[0] * cs[0]))
+    # G through the first component, which the strip must remove, and G
+    # with a constant term, which misses every singular point
+    gs += [sis.components(s)[0][1] * gs[0], gs[0] + 1]
+    for G in gs:
+        for pt in sis.singular_points(s):
+            pol, _num = polar._local_polar_data(s, pt, G)
+            oracle = per_point_polar_germ(s, pt, G)
+            assert (pol is None) == (oracle is None)
+            if pol is not None:
+                ratio = exact_div(pol, oracle)
+                assert ratio is not None and ratio.total_degree() == 0
 
 
 def test_numerator_localized_once_per_sample_and_point():

@@ -30,6 +30,7 @@ from sislip.poly import (
     repeated_part_coeffs,
     require_coprime,
     resultant,
+    squarefree_part,
     squarefree_part_coeffs,
     univariate_coeffs,
 )
@@ -262,6 +263,23 @@ def test_squarefree_detection():
     assert is_squarefree(P("v*w*(v+w)"))
     assert not is_squarefree(P("v^2*w"))
     assert not is_squarefree(P("(v+w)^2*(v-w)"))
+    # squarefree_part runs the same gcd chain and divides by its result
+    for text, radical in [("v^2*w", "v*w"), ("(v+w)^2*(v-w)", "(v+w)*(v-w)"),
+                          ("v*w*(v+w)", "v*w*(v+w)")]:
+        q = exact_div(squarefree_part(P(text)), P(radical))
+        assert q is not None and q.total_degree() == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=polys, c1=rationals, c2=rationals)
+def test_scalar_evaluate_is_constant_term_after_shift(p, c1, c2):
+    # over QQ, and over Q(sqrt 2) at a point involving the generator
+    ctx = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    r = ctx.gen()
+    for q, a, b in ((p, c1, c2), (p.lift(ctx), c1 + r, c2 * r)):
+        moved = q.shift("v", a).shift("w", b)
+        value = q.evaluate({"v": a, "w": b})
+        assert value == moved.terms.get((0, 0), 0)
 
 
 @settings(max_examples=100, deadline=None)

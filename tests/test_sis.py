@@ -77,10 +77,33 @@ def test_validate_rejects_shared_component():
         sis.validate(A("x*y^2 + x^3"), A("x*(x^3 + y^3 + z^3)"))
 
 
-def test_validate_rejects_sing_point_on_next_form():
-    # tangent cone of y^3 + x z^2 is singular at [1:0:0], where y^4 vanishes
-    with pytest.raises(NotSuperisolated):
-        sis.from_polynomial(A("y^3 + x*z^2 - y^4"))
+CONICS_4 = "(y*z - x^2)*(x*z - y^2 + 3*z^2)"
+
+
+@pytest.mark.parametrize("text, point", [
+    # the cusp of y^3 + x z^2 at [1:0:0], where y^4 vanishes
+    ("y^3 + x*z^2 - y^4", None),
+    # a Q(a) class of four points C1 n C2, each on the quintic or on none
+    (f"{CONICS_4} + (y*z - x^2)*x^3 + (x*z - y^2 + 3*z^2)*y^3", None),
+    (f"{CONICS_4} + (x + y + z)^5", (0, 4)),
+    # three lines through [0:1:0], a point of chart 1
+    ("x*z*(x - z) + x^4 + z^4", None),
+    ("x*z*(x - z) + y^4", (1, 1)),
+    # three lines through [0:0:1], chart 2
+    ("x*y*(x - y) + x^4 + y^4", None),
+    ("x*y*(x - y) + z^4", (2, 1)),
+], ids=["cusp_rejected", "conjugate_class_rejected", "conjugate_class",
+        "chart_1_rejected", "chart_1", "chart_2_rejected", "chart_2"])
+def test_validate_rejects_sing_point_on_next_form(text, point):
+    # validate() evaluates g~ at a representative of every point class;
+    # `point` is (chart, class size) of a class the accepted twin keeps
+    if point is None:
+        with pytest.raises(NotSuperisolated,
+                           match=r"lies on the degree-\(d\+1\) curve"):
+            sis.from_polynomial(A(text))
+        return
+    pts = sis.singular_points(sis.from_polynomial(A(text)))
+    assert point in [(pt.chart, pt.class_size) for pt in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +164,19 @@ def test_local_factors_reduced_and_coprime(surface, request):
     # coprime; validate() proves it for the tangent cone over Q, and the
     # localization (field extension, translation) must preserve it
     s = request.getfixturevalue(surface)
-    for pt in sis.singular_points(s):
+    for ip, pt in enumerate(sis.singular_points(s)):
         locs = list(pt.local_factors.values())
         assert is_squarefree(math.prod(locs))
         for i, p in enumerate(locs):
             for q in locs[i + 1:]:
                 assert mgcd(p, q).total_degree() == 0
+        # h_local is f~ at the point up to a unit of the local ring, so
+        # the resolution reads the same valuations off either
+        f_loc = pt.localize(sis.dehomogenize(s.f, pt.chart))
+        unit = exact_div(f_loc, pt.h_local)
+        assert unit is not None and unit.order_at_origin() == 0
+        res = sis.point_resolution(s, ip)
+        assert res.track(f_loc) == res.track(pt.h_local)
 
 
 def test_vertical_inflection_is_not_singular():
@@ -477,8 +507,10 @@ def test_factored_numerator_matches_full(request, surface):
             lin, rest = res.track(pt.h_local), res.track(Mloc)
             assert {rid: m * lin[rid] + rest[rid] for rid in rest} == \
                 res.track(Nloc)
-            ratio = exact_div(_strip(Nloc, pt.components.values()),
-                              _strip(Mloc, pt.components.values()))
+            comps = [pt.localize(sis.dehomogenize(comp, pt.chart))
+                     for _name, comp in sis.components(s)]
+            comps = [c for c in comps if c.total_degree() > 0]
+            ratio = exact_div(_strip(Nloc, comps), _strip(Mloc, comps))
             assert ratio is not None and ratio.total_degree() == 0
 
 

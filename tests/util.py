@@ -6,7 +6,9 @@ from sislip import sis
 from sislip.poly import (
     MPoly,
     _uni_gcd,
+    exact_div,
     factor_coeff_list,
+    mgcd,
     repeated_part_coeffs,
     resultant,
     squarefree_part_coeffs,
@@ -203,3 +205,28 @@ def _whole_curve_affine(f0):
                 out.append((ctx2, as_scalar(ctx2, v0) + lam * w0, w0, size))
         return out
     raise AssertionError("no shear made the whole-curve search regular")
+
+
+# ---------------------------------------------------------------------------
+# independent oracle for the local polar germ
+#
+# The per-point path sislip used before the germ was built over QQ: strip
+# every localized component from M_loc over the point's field, then take the
+# radical there.
+
+def per_point_polar_germ(s, pt, G):
+    """The reduced polar germ at pt over its field, or None if it misses pt."""
+    _m, strict = sis.local_numerator(s, pt, G)
+    for _name, comp in sis.components(s):
+        loc = pt.localize(sis.dehomogenize(comp, pt.chart))
+        if loc.total_degree() > 0:
+            while (q := exact_div(strict, loc)) is not None:
+                strict = q
+    if strict.order_at_origin() == 0:
+        return None
+    g = strict
+    for var in strict.vars:
+        d = strict.derivative(var)
+        if d:
+            g = mgcd(g, d)
+    return strict if g.total_degree() == 0 else exact_div(strict, g)
