@@ -70,7 +70,6 @@ def cmd_sis_graph(args):
         return 2
     s = _parse_surface(args.expr)
     graph = sis.build_gamma(s, args.mode)
-    sis.l_node_self_int(graph, s)
     if args.rates:
         sis.inner_rates(graph, s, seed=args.seed)
     _emit(report.GraphDocument(
@@ -81,7 +80,6 @@ def cmd_sis_graph(args):
 def cmd_inner_rates(args):
     s = _parse_surface(args.expr)
     graph = sis.build_gamma(s, "inner")
-    sis.l_node_self_int(graph, s)
     sis.inner_rates(graph, s, seed=args.seed)
     _emit(report.GraphDocument(
         graph, _provenance(args, mode="inner")), args)
@@ -120,7 +118,6 @@ def cmd_compare(args):
         graphs = []
         for s in (s1, s2):
             g = sis.build_gamma(s, "inner")
-            sis.l_node_self_int(g, s)
             sis.inner_rates(g, s, seed=args.seed)
             graphs.append(g)
         eq = report.isomorphic(graphs[0], graphs[1]) is not None

@@ -23,14 +23,11 @@ from .scalar import is_zero
 from .sis import (
     AMBIENT_VARS,
     DecoratedGraph,
-    DVertex,
     _pullback_numerator,
     build_gamma,
     components,
     dehomogenize,
     inner_rates,
-    l_node_self_int,
-    local_numerator,
     multiplicity_table,
     point_resolution,
     singular_points,
@@ -62,8 +59,8 @@ def partials_table(s, graph=None):
     return tuple(out)
 
 
-def _local_polar_data(s, pt, G):
-    """(reduced local polar germ or None, (m, M_loc) from local_numerator).
+def _local_polar_germ(s, pt, G):
+    """The reduced local polar germ at pt, or None where the polar misses it.
 
     The pullback numerator is f~^m * M in pt's chart.  The cone is reduced,
     so each component divides f~ once, and stripping every component that
@@ -80,10 +77,9 @@ def _local_polar_data(s, pt, G):
         if h.total_degree() > 0:
             while (q := exact_div(M, h)) is not None:
                 M = q
-    num = local_numerator(s, pt, G)
     if not is_zero(pt.value(M)):
-        return None, num  # the polar misses this singular point
-    return pt.localize(squarefree_part(M)), num
+        return None
+    return pt.localize(squarefree_part(M))
 
 
 @dataclass
@@ -98,76 +94,38 @@ class PolarSample:
     agreeing: int               # how many samples attained the minimum
 
 
-def extended_polar_graph(s, G, l_mults):
+def extended_polar_graph(s, G):
     """Resolve the polar's base points on the exceptional divisor.
 
-    Rebuilds the inner decorated graph from the combined resolution of
-    (tangent-cone germ) * (local polar germ) at every singular point, so any
-    extra blow-ups forced by the polar show up as new vertices with updated
-    self-intersections.  Every strict-transform branch of the polar becomes
-    one arrow; branches through the L-curves away from the singular points
-    are counted by the principal-divisor identity.  `l_mults` maps each
-    component name to the multiplicity of G along its L-curve.
+    At every singular point the polar meets, the inner graph glues in the
+    combined resolution of the local factors of C and the local polar germ
+    (`build_gamma` with `resolutions`), so the extra blow-ups the polar
+    forces show up as new vertices with updated self-intersections, and
+    each strict-transform branch of the polar there as one arrow.  The
+    multiplicities of G are stored under "polar".  Branches through the
+    L-curves away from the singular points are counted by the
+    principal-divisor identity.
 
     Returns (graph, extra_vertex_count, l_arrow_counts).
     """
-    vertices, edges, arrows = {}, [], []
-    nid = 0
-    l_id = {}
-    for name, _comp in components(s):
-        nid += 1
-        vertices[nid] = DVertex(nid, True, component=name)
-        l_id[name] = nid
+    resolutions = {}
     extra = 0
     for ip, pt in enumerate(singular_points(s)):
-        pol, (m, Mloc) = _local_polar_data(s, pt, G)
-        base = point_resolution(s, ip)
+        pol = _local_polar_germ(s, pt, G)
         if pol is None:
-            res = base
-        else:
-            res = resolve_germ(None, pt.ctx,
-                               factors={**pt.local_factors, POLAR_TAG: pol})
-        local = res.dual_graph()
-        n_new = len(local.vertices) - len(base.dual_graph().vertices)
+            continue
+        res = resolutions[ip] = resolve_germ(
+            None, pt.ctx, factors={**pt.local_factors, POLAR_TAG: pol})
+        n_new = (len(res.dual_graph().vertices)
+                 - len(point_resolution(s, ip).dual_graph().vertices))
         if n_new > MAX_EXTRA_BLOWUPS:
             raise GenericityAlarm(
                 f"polar base points needed {n_new} extra blow-ups "
                 f"(cap {MAX_EXTRA_BLOWUPS}) at singular point {ip}"
             )
         extra += n_new * pt.class_size
-        m_lin = res.track(pt.h_local)
-        m_rest = res.track(Mloc)
-        for copy in range(pt.class_size):
-            gid = {}
-            for lid in sorted(local.vertices):
-                nid += 1
-                gid[lid] = nid
-                rid = local.rep_of[lid]
-                vertices[nid] = DVertex(
-                    nid, False, self_int=local.vertices[lid], point=ip,
-                    copy=copy, local_id=rid,
-                    mult={"polar": m * m_lin[rid] + m_rest[rid],
-                          "l": m_lin[rid]},
-                )
-            for e in local.edges:
-                a, b = sorted(e)
-                edges.append((gid[a], gid[b]))
-            for arrow in local.arrows:
-                if arrow.vertex is None:
-                    continue
-                if arrow.tag == POLAR_TAG:
-                    arrows.append((gid[arrow.vertex], None))
-                else:
-                    edges.append((gid[arrow.vertex], l_id[arrow.tag]))
-    graph = DecoratedGraph("inner", vertices, edges, arrows)
-    comp_of = dict(components(s))
-    for v in graph.l_vertices():
-        comp = comp_of[v.component]
-        v.mult["polar"] = l_mults[v.component]
-        v.mult["l"] = 1
-        v.self_int = -(comp.total_degree() + sum(
-            graph.vertices[u].mult["l"] for u in graph.neighbors(v.id)
-        ))
+    graph = build_gamma(s, "inner", resolutions)
+    multiplicity_table(s, G, graph, name="polar")
     l_counts = {}
     for v in graph.l_vertices():
         # (sum m_E(G) E + strict) . L = 0 pins the strict contact with L
@@ -187,7 +145,6 @@ def generic_polar(s, k=DEFAULT_SAMPLES, seed=0):
     if k < 3:
         raise ValueError("need at least 3 samples for a certificate")
     base = build_gamma(s, "inner")
-    l_node_self_int(base, s)
     px, py, pz = surface_partials(s)
     rng = random.Random(seed)
     triples, gs, tables = [], [], []
@@ -209,8 +166,7 @@ def generic_polar(s, k=DEFAULT_SAMPLES, seed=0):
     idx = good[0]
     for vid, m in mins.items():
         base.vertices[vid].mult["polar"] = m
-    l_mults = {v.component: mins[v.id] for v in base.l_vertices()}
-    graph, extra, l_counts = extended_polar_graph(s, gs[idx], l_mults)
+    graph, extra, l_counts = extended_polar_graph(s, gs[idx])
     return PolarSample(triples[idx], gs[idx], mins, base, graph, extra,
                        l_counts, len(good))
 
@@ -239,7 +195,6 @@ def outer_evidence_report(s1, s2, k=DEFAULT_SAMPLES, seed=0):
     graphs = []
     for s in (s1, s2):
         g = build_gamma(s, "inner")
-        l_node_self_int(g, s)
         inner_rates(g, s, seed=seed)
         graphs.append(g)
     inner_eq = isomorphic(graphs[0], graphs[1]) is not None

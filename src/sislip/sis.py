@@ -186,7 +186,7 @@ def singular_points(s):
     first one or two names of the point's local factors must be C_i, C_j.
     C_k has rational coefficients, so an orbit lies on C_k entirely or not
     at all, and one evaluation of C_k at the representative, over its
-    field, decides which.
+    field, decides which, before any component is localized there.
 
     Chart rule: chart 0, coordinates (y/x, z/x), if x != 0; chart 1,
     coordinates (0, z/y), if x = 0 and y != 0; chart 2, coordinates (0, 0),
@@ -207,8 +207,8 @@ def singular_points(s):
                 found = _common_zeros(ci, cj)
             own = [ni] if i == j else [ni, nj]
             for found_pt in found:
-                pt = _make_point(s, *found_pt)
-                if list(pt.local_factors)[:2] == own:
+                pt = _make_point(s, *found_pt, own=own)
+                if pt is not None:
                     pts.append(pt)
     s._points = pts
     return pts
@@ -330,20 +330,25 @@ def _affine_singularities(f0, g0=None):
     raise GenericityAlarm("no shear made the singular-point search regular")
 
 
-def _make_point(s, chart, coords, ctx, size):
-    """The point with its germ of C.
+def _make_point(s, chart, coords, ctx, size, own=None):
+    """The point with its germ of C; None when `own` is given and is not
+    the list of the first one or two components through the point.
 
     Each component is evaluated at the point once; only those through it
-    are localized.  The others are units of the local ring, so h_local, the
-    product of the local factors, is f~ at the point times a unit: every
-    order, valuation and tangent line is that of f~.
+    are localized, and only once the point is kept.  The others are units
+    of the local ring, so h_local, the product of the local factors, is f~
+    at the point times a unit: every order, valuation and tangent line is
+    that of f~.
     """
     pt = SingPoint(ctx, chart, coords, size)
-    pt.local_factors = {}
+    through = {}
     for name, comp in components(s):
         h = dehomogenize(comp, chart)
         if is_zero(pt.value(h)):
-            pt.local_factors[name] = pt.localize(h)
+            through[name] = h
+    if own is not None and list(through)[:2] != own:
+        return None
+    pt.local_factors = {name: pt.localize(h) for name, h in through.items()}
     pt.branch_names = [name for name, loc in pt.local_factors.items()
                        for _ in range(loc.order_at_origin())]
     h = pt.h_local = math.prod(pt.local_factors.values())
@@ -378,10 +383,14 @@ class DVertex:
 
 @dataclass
 class DecoratedGraph:
+    """A decorated dual graph.  `resolutions` maps each singular point whose
+    local resolution was glued in to that `Resolution`; it is empty for a
+    graph that was not assembled by `build_gamma`."""
     mode: str
     vertices: dict              # id -> DVertex
     edges: list                 # (id, id) pairs; parallel edges allowed
     arrows: list = field(default_factory=list)  # (vertex id, mult label or None)
+    resolutions: dict = field(default_factory=dict, repr=False)
 
     def neighbors(self, vid):
         out = []
@@ -399,8 +408,15 @@ class DecoratedGraph:
         return [v for v in self.vertices.values() if v.is_L]
 
 
-def build_gamma(s, mode="inner"):
+def build_gamma(s, mode="inner", resolutions=None):
     """Assemble the decorated dual graph of the resolved SIS surface.
+
+    One L-vertex per component of C; at singular point ip, one copy per
+    conjugate of `resolutions[ip]` when given, else of the germ's own
+    minimal resolution.  An arrow tagged with a component becomes an edge
+    to its L-vertex; any other arrow (the polar's) stays a graph arrow.
+    The graph comes back with L self-intersections and "l" multiplicities
+    filled in (`l_node_self_int`).
 
     mode="min": ordinary double points of C stay as plain edges between the
     L-vertices of the two branches.  mode="inner": they are blown up once,
@@ -408,13 +424,13 @@ def build_gamma(s, mode="inner"):
     """
     if mode not in ("min", "inner"):
         raise ValueError(f"unknown mode {mode!r}")
-    vertices = {}
-    edges = []
+    resolutions = resolutions or {}
+    vertices, edges, arrows, glued = {}, [], [], {}
     nid = 0
     l_id = {}
     for name, _comp in components(s):
         nid += 1
-        vertices[nid] = DVertex(nid, True, component=name, rate=None)
+        vertices[nid] = DVertex(nid, True, component=name)
         l_id[name] = nid
     for ip, pt in enumerate(singular_points(s)):
         if mode == "min" and pt.is_odp:
@@ -422,7 +438,7 @@ def build_gamma(s, mode="inner"):
             for _copy in range(pt.class_size):
                 edges.append((l_id[n1], l_id[n2]))
             continue
-        res = point_resolution(s, ip)
+        res = glued[ip] = resolutions.get(ip) or point_resolution(s, ip)
         local = res.dual_graph()
         for copy in range(pt.class_size):
             gid = {}
@@ -437,8 +453,12 @@ def build_gamma(s, mode="inner"):
                 a, b = sorted(e)
                 edges.append((gid[a], gid[b]))
             for arrow in local.arrows:
-                edges.append((gid[arrow.vertex], l_id[arrow.tag]))
-    return DecoratedGraph(mode, vertices, edges)
+                if arrow.tag in l_id:
+                    edges.append((gid[arrow.vertex], l_id[arrow.tag]))
+                else:
+                    arrows.append((gid[arrow.vertex], None))
+    graph = DecoratedGraph(mode, vertices, edges, arrows, glued)
+    return l_node_self_int(graph, s)
 
 
 def l_node_self_int(graph, s):
@@ -449,9 +469,9 @@ def l_node_self_int(graph, s):
         if v.is_L:
             mult_l1[v.id] = 1
         else:
-            res = point_resolution(s, v.point)
             pt = singular_points(s)[v.point]
-            mult_l1[v.id] = res.track(pt.h_local)[v.local_id]
+            mult_l1[v.id] = graph.resolutions[v.point].track(
+                pt.h_local)[v.local_id]
     for v in graph.vertices.values():
         v.mult["l"] = mult_l1[v.id]
     degs = {name: comp.total_degree() for name, comp in components(s)}
@@ -581,7 +601,7 @@ def multiplicity_table(s, G, graph, name=None):
             out[v.id] = m + multiplicity_of_factor(M, dehomogenize(comp, chart))
         else:
             pt = singular_points(s)[v.point]
-            res = point_resolution(s, v.point)
+            res = graph.resolutions[v.point]
             m, Mloc = local_numerator(s, pt, G)
             out[v.id] = (m * res.track(pt.h_local)[v.local_id]
                          + res.track(Mloc)[v.local_id])

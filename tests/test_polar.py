@@ -73,6 +73,10 @@ def test_generic_polar_pair_a(s_pair_a):
     assert p.extra_blowups == 1
     assert polar.polar_branch_count(p) == 8
     assert sorted(p.l_arrow_counts.values()) == [3, 3]
+    # the L-vertices keep their ids and the certified minimum
+    for v in p.graph.l_vertices():
+        assert p.base_graph.vertices[v.id].component == v.component
+        assert v.mult["polar"] == p.mults[v.id]
     # the extra vertex: a fresh -1 curve with polar multiplicity 105,
     # wedged between the old -1 (now -2, polar 69) and the old -2 (now -3,
     # polar 35), and carrying the polar arrow of that singular point
@@ -111,7 +115,7 @@ def test_polar_germ_reduced_with_local_factors(s_pair_a):
     p = polar.generic_polar(s_pair_a, k=5, seed=0)
     met = 0
     for pt in sis.singular_points(s_pair_a):
-        pol, _nloc = polar._local_polar_data(s_pair_a, pt, p.G)
+        pol = polar._local_polar_germ(s_pair_a, pt, p.G)
         if pol is None:
             continue
         met += 1
@@ -136,7 +140,7 @@ def test_polar_germ_matches_per_point_oracle(request, surface):
     gs += [sis.components(s)[0][1] * gs[0], gs[0] + 1]
     for G in gs:
         for pt in sis.singular_points(s):
-            pol, _num = polar._local_polar_data(s, pt, G)
+            pol = polar._local_polar_germ(s, pt, G)
             oracle = per_point_polar_germ(s, pt, G)
             assert (pol is None) == (oracle is None)
             if pol is not None:
@@ -154,9 +158,7 @@ def test_numerator_localized_once_per_sample_and_point():
     counts = [len(pt._numerators) for pt in sis.singular_points(s)]
     assert counts == [k] * len(counts)
     assert all(p.G in pt._numerators for pt in sis.singular_points(s))
-    polar.extended_polar_graph(s, p.G, {
-        v.component: p.mults[v.id] for v in p.base_graph.l_vertices()
-    })
+    polar.extended_polar_graph(s, p.G)
     assert [len(pt._numerators) for pt in sis.singular_points(s)] == counts
 
 

@@ -363,6 +363,35 @@ def test_resultant_against_sympy(a, b):
     assert resultant(b, a, "w") == ours * (-1) ** mn
 
 
+def test_resultant_over_number_field_by_hand():
+    # over Q(sqrt 2) the Sylvester determinant is eliminated by Bareiss;
+    # Res_w(w - r, q) = q(r) for monic w - r
+    ctx = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    r = ctx.gen()
+    v, w = (MPoly.var(ctx, VW, u) for u in VW)
+    assert resultant(w - r, w ** 2 - v, "w") == P("2 - v").lift(ctx)
+    assert resultant(w - r, w ** 2 + v * w, "w") == v * r + 2
+    # degrees 1 and 3: swapping the operands flips the sign
+    assert resultant(w - r, w ** 3 + v, "w") == v + 2 * r
+    assert resultant(w ** 3 + v, w - r, "w") == -(v + 2 * r)
+    # the third Bareiss pivot is 2 - r^2 = 0, so two rows are swapped
+    assert resultant(w ** 2 + r * w + 1 + v, w ** 2 + 2 * r * w + 3 + v,
+                     "w") == 2 * v + 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=polys, b=polys)
+def test_resultant_over_number_field_matches_qq(a, b):
+    # QQ inputs lifted to Q(sqrt 2) take the Bareiss path, and must give
+    # what the QQ path gives
+    if not a or not b or a.degree_in("w") == 0 or b.degree_in("w") == 0:
+        return
+    ctx = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    ours = resultant(a.lift(ctx), b.lift(ctx), "w")
+    assert ours.ctx == ctx
+    assert ours == resultant(a, b, "w").lift(ctx)
+
+
 # ---------------------------------------------------------------------------
 # factorization
 

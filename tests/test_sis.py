@@ -13,7 +13,7 @@ from util import (
     whole_curve_singular_points,
 )
 
-from sislip import sis
+from sislip import polar, sis
 from sislip.errors import (
     DegreeMismatch,
     NotHomogeneous,
@@ -300,6 +300,19 @@ def test_component_search_matches_whole_curve_search_under_change(text, m):
     _assert_matches_whole_curve_search(sis.from_polynomial(_change(A(text), m)))
 
 
+def test_singular_points_localize_only_kept_points(monkeypatch):
+    # three concurrent lines: each of the three pairs finds [0:0:1], and
+    # only the least pair's point is localized, once per line through it
+    calls = []
+    localize = sis.SingPoint.localize
+    monkeypatch.setattr(sis.SingPoint, "localize",
+                        lambda pt, p: calls.append(p) or localize(pt, p))
+    s = sis.from_polynomial(A("x*y*(x - y) + z^4"))
+    pts = sis.singular_points(s)
+    assert len(pts) == 1
+    assert len(calls) == sum(len(pt.local_factors) for pt in pts) == 3
+
+
 @pytest.fixture(scope="module")
 def localize_points():
     """A rational point, and the Q(a) point class of four conjugate points
@@ -411,13 +424,33 @@ def test_two_cubics_inner_graph(s_two_cubics):
     ])
 
 
-def test_graphs_negative_definite(s_cubic, s_two_cubics):
-    for s in (s_cubic, s_two_cubics):
-        for mode in ("min", "inner"):
-            g = sis.build_gamma(s, mode)
-            sis.l_node_self_int(g, s)
-            M, _ids = graph_matrix(g)
-            assert is_negative_definite(M)
+def test_graphs_negative_definite(s_cubic, s_two_cubics, s_pair_a):
+    graphs = [sis.build_gamma(s, mode) for s in (s_cubic, s_two_cubics)
+              for mode in ("min", "inner")]
+    # the polar graphs glue in the combined resolutions; on the first
+    # sextic the polar forces one extra blow-up
+    polars = [polar.generic_polar(s, k=5, seed=0)
+              for s in (s_two_cubics, s_pair_a)]
+    assert polars[1].extra_blowups == 1
+    for g in graphs + [p.graph for p in polars]:
+        M, _ids = graph_matrix(g)
+        assert is_negative_definite(M)
+
+
+def test_build_gamma_fills_l_self_intersections(s_cubic, s_two_cubics):
+    # no l_node_self_int call: build_gamma ends with it
+    expected = [(s_cubic, "min", [-9]), (s_cubic, "inner", [-9]),
+                (s_two_cubics, "inner", [-23, -23])]
+    for s, mode, selfs in expected:
+        g = sis.build_gamma(s, mode)
+        assert sorted(v.self_int for v in g.l_vertices()) == selfs
+        assert all(v.mult["l"] == 1 for v in g.l_vertices())
+        assert all("l" in v.mult for v in g.vertices.values())
+    g = sis.build_gamma(s_two_cubics, "min")
+    selfs = {v.id: v.self_int for v in g.l_vertices()}
+    assert None not in selfs.values()
+    sis.l_node_self_int(g, s_two_cubics)
+    assert {v.id: v.self_int for v in g.l_vertices()} == selfs
 
 
 def test_edge_multiplicity_is_one(s_two_cubics):
