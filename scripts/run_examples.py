@@ -30,7 +30,7 @@ def summarize(name, expr, args):
     t0 = time.monotonic()
     s = sis.from_polynomial(parse_poly(expr, vars=AV))
     g = sis.build_gamma(s, "inner")
-    sis.inner_rates(g, s, seed=args.seed)
+    sis.inner_rates(g, s)
     stats = sorted(
         (v.self_int, str(v.rate) if v.rate is not None else "-")
         for v in g.vertices.values()

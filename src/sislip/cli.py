@@ -36,20 +36,21 @@ def _germ_graph(expr):
         for vid in local.vertices
     }
     edges = [tuple(sorted(e)) for e in local.edges]
-    arrows = [(a.vertex, a.mult) for a in local.arrows]
+    arrows = [(a.vertex, None) for a in local.arrows]
     return DecoratedGraph("germ", vertices, edges, arrows)
 
 
-def _emit(doc, args):
-    if args.format == "dot":
-        text = report.to_dot(doc)
-    else:
-        text = report.to_json(doc)
+def _write(text, args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc, args):
+    _write(report.to_dot(doc) if args.format == "dot" else report.to_json(doc),
+           args)
 
 
 def _provenance(args, **extra):
@@ -71,18 +72,9 @@ def cmd_sis_graph(args):
     s = _parse_surface(args.expr)
     graph = sis.build_gamma(s, args.mode)
     if args.rates:
-        sis.inner_rates(graph, s, seed=args.seed)
+        sis.inner_rates(graph, s)
     _emit(report.GraphDocument(
         graph, _provenance(args, mode=args.mode)), args)
-    return 0
-
-
-def cmd_inner_rates(args):
-    s = _parse_surface(args.expr)
-    graph = sis.build_gamma(s, "inner")
-    sis.inner_rates(graph, s, seed=args.seed)
-    _emit(report.GraphDocument(
-        graph, _provenance(args, mode="inner")), args)
     return 0
 
 
@@ -118,29 +110,22 @@ def cmd_compare(args):
         graphs = []
         for s in (s1, s2):
             g = sis.build_gamma(s, "inner")
-            sis.inner_rates(g, s, seed=args.seed)
+            sis.inner_rates(g, s)
             graphs.append(g)
         eq = report.isomorphic(graphs[0], graphs[1]) is not None
         body = {
             "inner_equivalent": eq,
             "verdict": "inner-equivalent" if eq else "inner geometries differ",
         }
-    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(body, indent=2, sort_keys=True) + "\n", args)
     return 0
 
 
 def cmd_check(args):
     s = _parse_surface(args.expr)
     n = len(sis.singular_points(s))
-    sys.stdout.write(
-        f"ok: superisolated, degree {s.d}, "
-        f"{n} singular point class(es) on the tangent cone\n"
-    )
+    _write(f"ok: superisolated, degree {s.d}, "
+           f"{n} singular point class(es) on the tangent cone\n", args)
     return 0
 
 
@@ -173,7 +158,7 @@ def build_parser():
 
     p = sub.add_parser("inner-rates", help="inner graph with rates")
     common(p)
-    p.set_defaults(func=cmd_inner_rates)
+    p.set_defaults(func=cmd_sis_graph, mode="inner", rates=True)
 
     p = sub.add_parser("polar", help="certified generic polar data")
     common(p)

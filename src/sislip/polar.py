@@ -195,7 +195,7 @@ def outer_evidence_report(s1, s2, k=DEFAULT_SAMPLES, seed=0):
     graphs = []
     for s in (s1, s2):
         g = build_gamma(s, "inner")
-        inner_rates(g, s, seed=seed)
+        inner_rates(g, s)
         graphs.append(g)
     inner_eq = isomorphic(graphs[0], graphs[1]) is not None
     p1 = generic_polar(s1, k=k, seed=seed)

@@ -53,6 +53,7 @@ __all__ = [
     "exact_div",
     "factor_univariate",
     "factor_coeff_list",
+    "adjoin_root",
     "univariate_coeffs",
     "poly_from_coeffs",
 ]
@@ -533,8 +534,7 @@ def _generator_scalar(ctx, name):
     # generator of the level named `name`, embedded into ctx
     for depth, (lname, _) in enumerate(ctx.tower, start=1):
         if lname == name:
-            level_ctx = _sc.FieldCtx(ctx.tower[:depth], ctx.max_depth)
-            return level_ctx.gen()
+            return _sc.FieldCtx(ctx.tower[:depth]).gen()
     raise UnknownGenerator(f"unknown generator {name!r}")
 
 
@@ -983,6 +983,18 @@ def factor_coeff_list(coeffs, ctx):
     return out
 
 
+def adjoin_root(ctx, m):
+    """(field, root) for a monic irreducible coefficient list m over ctx.
+
+    A linear m keeps ctx and gives -m[0]; any other m extends ctx by
+    `scalar.extend_field`, which certifies it, and gives the new generator.
+    """
+    if len(m) == 2:
+        return ctx, -m[0]
+    ext = _sc.extend_field(ctx, m)
+    return ext, ext.gen()
+
+
 def _uni_zz(coeffs):
     """A univariate coefficient list over QQ, cleared into PolyRing(ZZ)."""
     return to_zz(poly_from_coeffs(coeffs, QQ, ("t",), "t"))[1]
@@ -1043,16 +1055,12 @@ def _trager(f, ctx):
     beta = ctx.gen()
     m = list(ctx.top_minpoly)
     for s in range(0, 40):
-        shifted = _shift_uni(f, -s, beta) if s else list(f)
-        norm = _norm_down(shifted, m, sub, ctx)
+        norm = _norm_down(_shift_uni(f, -s * beta, ctx), m, sub, ctx)
         if len(_gcd_with_derivative(norm)) == 1:
             pieces = factor_coeff_list(norm, sub)
             out = []
             for h, _k in pieces:
-                h_up = _shift_uni([as_scalar(ctx, c) for c in h], s, beta) if s else [
-                    as_scalar(ctx, c) for c in h
-                ]
-                g = _uni_gcd(list(f), h_up)
+                g = _uni_gcd(list(f), _shift_uni(h, s * beta, ctx))
                 if len(g) > 1:
                     out.append(g)
             total = sum(len(g) - 1 for g in out)
@@ -1061,21 +1069,10 @@ def _trager(f, ctx):
     raise DegreeTooLarge("no squarefree norm found in Trager factorization")
 
 
-def _shift_uni(f, s, beta):
-    """f(x + s*beta) for integer s, coefficient list over the extension."""
-    # Horner with x -> x + s*beta
-    n = len(f) - 1
-    out = [f[-1]]
-    c = s * beta
-    for k in range(n - 1, -1, -1):
-        # out = out * (x + c) + f[k]
-        new = [Fraction(0)] * (len(out) + 1)
-        for i, a in enumerate(out):
-            new[i + 1] = new[i + 1] + a
-            new[i] = new[i] + a * c
-        new[0] = new[0] + f[k]
-        out = new
-    return _sc._trim(out)
+def _shift_uni(f, c, ctx):
+    """f(x + c) for a coefficient list f over ctx, by `MPoly.shift`."""
+    p = poly_from_coeffs(f, ctx, ("_x",), "_x")
+    return univariate_coeffs(p.shift("_x", c), "_x")
 
 
 def _norm_down(f, m, sub, ctx):

@@ -25,11 +25,13 @@ from .errors import (
     FieldExtensionFailure,
     GenericityAlarm,
     NonReduced,
+    TowerDepthExceeded,
     ZeroPolynomial,
 )
 from .poly import (
     MPoly,
     _uni_gcd,
+    adjoin_root,
     factor_coeff_list,
     is_squarefree,
     mgcd,
@@ -87,33 +89,6 @@ def _restrict_to_exc(p):
     return _sc._trim(out)
 
 
-def _mult_in(coeffs, q):
-    """Multiplicity of the (irreducible) q in the coefficient list coeffs."""
-    m = 0
-    while len(coeffs) >= len(q):
-        quot, rem = _sc._pdivmod(coeffs, q)
-        if rem:
-            break
-        coeffs = quot
-        m += 1
-    return m
-
-
-def _extend_with_root(ctx, coeffs):
-    """Field extension by an already-irreducible minimal polynomial."""
-    if ctx.depth >= ctx.max_depth:
-        raise FieldExtensionFailure(
-            f"blow-up center needs a tower of depth > {ctx.max_depth}"
-        )
-    base = f"r{ctx.depth + 1}"
-    name = base
-    n = 0
-    while name in ctx.gen_names():
-        n += 1
-        name = f"{base}_{n}"
-    return FieldCtx(ctx.tower + ((name, tuple(coeffs)),), ctx.max_depth)
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -160,7 +135,6 @@ class PatchNode:
 class Arrow:
     vertex: int | None  # None only for the smooth-germ convention
     tag: str
-    mult: int | None = None
 
 
 @dataclass
@@ -191,9 +165,9 @@ class Resolution:
     (``resolve_germ`` validates a bare germ first).  A germ that breaks it
     never resolves: when the engine gives up at its depth or tower cap, the
     product is tested and ``NonReduced`` is raised if it has a repeated
-    factor, else the ``FieldExtensionFailure`` stands.  A repeated factor
-    that is a unit at the origin, as in v*(w-1)^2, leaves the germ reduced
-    there, and it resolves.
+    factor, else the ``FieldExtensionFailure`` or ``TowerDepthExceeded``
+    stands.  A repeated factor that is a unit at the origin, as in
+    v*(w-1)^2, leaves the germ reduced there, and it resolves.
     """
 
     def __init__(self, factors, ctx):
@@ -215,7 +189,7 @@ class Resolution:
         if order >= 2:
             try:
                 self.root = self._blow(self.factors, ctx, None, None, 0)
-            except FieldExtensionFailure as exc:
+            except (FieldExtensionFailure, TowerDepthExceeded) as exc:
                 # a non-reduced germ keeps a point of multiplicity >= 2 on
                 # every level, so it always ends here; tell it from a
                 # reduced germ that is merely too deep
@@ -256,19 +230,15 @@ class Resolution:
         prod = [Fraction(1)]
         for cs in restricted.values():
             prod = _sc._pmul(prod, cs)
-        for qc, _e in factor_coeff_list(squarefree_part_coeffs(prod), ctx):
-            mu = sum(_mult_in(cs, qc) for cs in restricted.values())
+        for qc, mu in factor_coeff_list(prod, ctx):
             at_origin = len(qc) == 2 and is_zero(qc[0])
             corner = at_origin and b_id is not None
             if mu == 1 and not corner:
-                tag = next(t for t, cs in restricted.items() if _mult_in(cs, qc))
+                tag = next(t for t, cs in restricted.items()
+                           if not _sc._pdivmod(cs, qc)[1])
                 self.arrows.append((new_id, tag, len(qc) - 1))
                 continue
-            if len(qc) == 2:
-                ctx2, c = ctx, -qc[0]
-            else:
-                ctx2 = _extend_with_root(ctx, qc)
-                c = ctx2.gen()
+            ctx2, c = adjoin_root(ctx, qc)
             child_factors = {
                 tag: p.lift(ctx2).shift("w", c) for tag, p in f_charts.items()
             }

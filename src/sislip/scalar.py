@@ -11,6 +11,9 @@ integer operations: a product is an integer convolution followed by one
 reduction through the field's table of a^n .. a^(2n-2).  Elements of deeper
 levels keep coefficient lists over the field below, whose coefficients are
 scalars of that field; inverses run the extended Euclid on coefficient lists.
+
+Every proper extension comes from `extend_field`, which certifies it and
+stops at `MAX_TOWER_DEPTH`; `poly.adjoin_root` calls it for every root.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import ContextMismatch, DivisionByZero, NotIrreducible, TowerDepthE
 
 __all__ = [
     "QQ",
+    "MAX_TOWER_DEPTH",
     "FieldCtx",
     "AlgNum",
     "as_scalar",
@@ -29,6 +33,9 @@ __all__ = [
     "scalar_inv",
     "extend_field",
 ]
+
+
+MAX_TOWER_DEPTH = 2  # deepest tower `extend_field` builds
 
 
 class FieldCtx:
@@ -39,11 +46,10 @@ class FieldCtx:
     below.  The empty tower is Q itself.
     """
 
-    __slots__ = ("tower", "max_depth", "_powers")
+    __slots__ = ("tower", "_powers")
 
-    def __init__(self, tower=(), max_depth=2):
+    def __init__(self, tower=()):
         self.tower = tuple(tower)
-        self.max_depth = max_depth
         self._powers = None
 
     @property
@@ -54,7 +60,7 @@ class FieldCtx:
     def sub(self):
         if not self.tower:
             raise ValueError("Q has no subfield")
-        return FieldCtx(self.tower[:-1], self.max_depth)
+        return FieldCtx(self.tower[:-1])
 
     @property
     def top_minpoly(self):
@@ -466,7 +472,9 @@ def extend_field(ctx, m, name=None):
     ``m`` is a coefficient sequence (low to high, scalars of ctx) or a
     univariate MPoly over ctx.  Irreducibility is certified by attempting a
     full factorization; the embedding of ctx into the result is the identity
-    on scalar values.
+    on scalar values.  A tower deeper than `MAX_TOWER_DEPTH` raises
+    TowerDepthExceeded.  The generator is ``name``, or else ``a<depth>``
+    with ``_`` appended while taken.  Every proper extension is built here.
     """
     from . import poly  # deferred: poly depends on scalar
 
@@ -477,15 +485,17 @@ def extend_field(ctx, m, name=None):
         raise NotIrreducible("minimal polynomial must have positive degree")
     if m[-1] != 1:
         raise NotIrreducible("minimal polynomial must be monic")
-    if ctx.depth >= ctx.max_depth:
+    if ctx.depth >= MAX_TOWER_DEPTH:
         raise TowerDepthExceeded(
-            f"tower depth cap {ctx.max_depth} reached extending {ctx}"
+            f"tower depth cap {MAX_TOWER_DEPTH} reached extending {ctx}"
         )
     factors = poly.factor_coeff_list(m, ctx)
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotIrreducible(f"polynomial of degree {len(m)-1} factors over {ctx}")
     if name is None:
         name = f"a{ctx.depth + 1}"
+        while name in ctx.gen_names():
+            name += "_"
     if name in ctx.gen_names():
         raise ValueError(f"generator name {name!r} already used")
-    return FieldCtx(ctx.tower + ((name, tuple(m)),), ctx.max_depth)
+    return FieldCtx(ctx.tower + ((name, tuple(m)),))

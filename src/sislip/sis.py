@@ -19,7 +19,6 @@ coordinates (0, 0), when it is [0:0:1].
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,6 +35,7 @@ from .errors import (
 from .poly import (
     MPoly,
     _uni_gcd,
+    adjoin_root,
     factor_coeff_list,
     factor_qq,
     from_zz,
@@ -43,7 +43,6 @@ from .poly import (
     multiplicity_of_factor,
     repeated_part_coeffs,
     resultant,
-    squarefree_part_coeffs,
     to_zz,
     univariate_coeffs,
 )
@@ -53,10 +52,9 @@ from .resolve import (
     detect_nodes,
     resolve_germ,
 )
-from .scalar import QQ, extend_field, is_zero
+from .scalar import QQ, is_zero
 
 AMBIENT_VARS = ("x", "y", "z")
-GENERIC_SAMPLES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +230,6 @@ def _line_meet(a, b):
                         p[0] * q[1] - p[1] * q[0])
 
 
-def _root(ctx, m):
-    """(field, root) for a monic irreducible m over ctx; no field for a line."""
-    if len(m) == 2:
-        return ctx, -m[0]
-    ext = extend_field(ctx, m)
-    return ext, ext.gen()
-
-
 def _shared_roots(polys, ctx):
     """(field, root, degree over ctx) per irreducible factor over ctx of the
     gcd in w of the polynomials polys, constant in v; an identically-zero
@@ -254,8 +244,8 @@ def _shared_roots(polys, ctx):
             return
     if shared is None:
         return
-    for m, _e in factor_coeff_list(squarefree_part_coeffs(shared), ctx):
-        yield *_root(ctx, m), len(m) - 1
+    for m, _e in factor_coeff_list(shared, ctx):
+        yield *adjoin_root(ctx, m), len(m) - 1
 
 
 def _common_zeros(P, Q=None):
@@ -321,7 +311,7 @@ def _affine_singularities(f0, g0=None):
         if len(roots) <= 1:
             return
         for qc, _e in factor_coeff_list(roots, QQ):
-            ctx1, v0 = _root(QQ, qc)
+            ctx1, v0 = adjoin_root(QQ, qc)
             above = [p.lift(ctx1).set_var("v", v0) for p in conds]
             for ctx2, w0, k in _shared_roots(above, ctx1):
                 yield (ctx2, _sc.as_scalar(ctx2, v0) + lam * w0, w0,
@@ -486,42 +476,31 @@ def l_node_self_int(graph, s):
 # ---------------------------------------------------------------------------
 # inner rates
 
-def _generic_local_track(res, seed=0):
-    """Certified valuations of a generic local linear form v + t*w."""
-    rng = random.Random(seed)
-    samples = []
-    while len(samples) < GENERIC_SAMPLES:
-        t = Fraction(rng.randint(1, 9999))
-        v = MPoly.var(res.base_ctx, GERM_VARS, "v")
-        w = MPoly.var(res.base_ctx, GERM_VARS, "w")
-        samples.append(res.track(v + t * w))
-    out = {}
-    for rid in res.curves:
-        vals = [sm[rid] for sm in samples]
-        best = min(vals)
-        if vals.count(best) < GENERIC_SAMPLES - 1:
-            raise GenericityAlarm(
-                f"generic-linear-form samples disagree on curve {rid}: {vals}"
-            )
-        out[rid] = best
-    return out
+def _linear_form_track(res):
+    """m_E(l) of a generic linear form l = v + t*w on every curve E: a
+    valuation has nu(v + t*w) >= min(nu(v), nu(w)), with equality for all t
+    but at most one, so m_E(l) = min(m_E(v), m_E(w)) exactly."""
+    m_v, m_w = (res.track(MPoly.var(QQ, GERM_VARS, x)) for x in GERM_VARS)
+    return {rid: min(m_v[rid], m_w[rid]) for rid in res.curves}
 
 
-def inner_rates(graph, s, seed=0):
-    """Annotate nodes with inner rates m_E(l)/m_E(h) + 1; L-vertices get 1."""
+def inner_rates(graph, s):
+    """Annotate nodes with inner rates m_E(l)/m_E(h) + 1; L-vertices get 1.
+
+    The valuations are read off the resolutions `build_gamma` glued in.
+    """
     if graph.mode != "inner":
         raise ValueError("inner rates require a graph built with mode='inner'")
     for v in graph.l_vertices():
         v.rate = Fraction(1)
-    for ip, pt in enumerate(singular_points(s)):
-        res = point_resolution(s, ip)
+    points = singular_points(s)
+    for ip, res in graph.resolutions.items():
+        h = points[ip].h_local
         local = res.dual_graph()
-        node_ids = detect_nodes(local, pt.h_local)
-        node_reps = {local.rep_of[i] for i in node_ids}
+        node_reps = {local.rep_of[i] for i in detect_nodes(local, h)}
         if not node_reps:
             continue
-        m_l = _generic_local_track(res, seed=seed)
-        m_h = res.track(pt.h_local)
+        m_l, m_h = _linear_form_track(res), res.track(h)
         rates = {rid: Fraction(m_l[rid], m_h[rid]) + 1 for rid in node_reps}
         for v in graph.vertices.values():
             if not v.is_L and v.point == ip and v.local_id in rates:

@@ -95,7 +95,7 @@ def test_criterion_2_rate_from_quotient():
 
     (node,) = detect_nodes(local, pt.h_local)
     rid = local.rep_of[node]
-    m_l = sis._generic_local_track(res)[rid]
+    m_l = sis._linear_form_track(res)[rid]
     m_h = res.track(pt.h_local)[rid]
     assert (m_l, m_h) == (2, 6)
     g = inner_graph(s)

@@ -168,3 +168,14 @@ def test_byte_identical_per_seed(capsys, argv):
     _c, out1, _ = run(capsys, *argv)
     _c, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# --out
+
+def test_check_out_writes_file(capsys, tmp_path):
+    path = tmp_path / "check.txt"
+    code, out, _ = run(capsys, "check", CUBIC, "--out", str(path))
+    assert code == 0
+    assert out == ""
+    assert path.read_text().startswith("ok: superisolated, degree 3")

@@ -11,6 +11,7 @@ from sislip.errors import (
     CommonComponent,
     FieldExtensionFailure,
     NonReduced,
+    TowerDepthExceeded,
 )
 from sislip.poly import parse_poly
 from sislip.resolve import (
@@ -20,7 +21,7 @@ from sislip.resolve import (
     intersection_mult,
     resolve_germ,
 )
-from sislip.scalar import QQ, extend_field
+from sislip.scalar import QQ, as_scalar, extend_field
 
 VW = ("v", "w")
 
@@ -96,6 +97,44 @@ def test_conjugate_cusps_quartic():
     res, g = graph_of("(v^3 + w^2)*(v^3 + 2*w^2)")
     assert sorted(g.vertices.values()) == [-3, -2, -1]
     assert len(g.arrows) == 2
+
+
+def test_irrational_centres_blown_up_over_extension():
+    # (w^2 - 2 v^2)^2 + v^5: two tacnode-like branches along w = +-sqrt(2) v;
+    # their centres are blown up once more over Q(sqrt 2)
+    res, g = graph_of("(w^2 - 2*v^2)^2 + v^5")
+    assert sorted(g.vertices.values()) == [-5, -2, -2, -1, -1]
+    assert len(g.edges) == 4
+    assert len(g.arrows) == 2
+    assert set(res.track(P("(w^2 - 2*v^2)^2 + v^5")).values()) == {4, 5, 10}
+    fields = {ctx for _chart, _c, ctx, _child in res.root.children}
+    assert [ctx.gen_names() for ctx in fields] == [("a1",)]
+
+
+def test_irrational_centre_over_field_with_generator_named_a2():
+    # the default generator name a2 is taken by the base field's own level
+    ctx = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)],
+                       name="a2")
+    h = parse_poly("(w^2 - 3*v^2)^2 + v^5", ctx=ctx, vars=VW)
+    res = resolve_germ(h, ctx)
+    assert sorted(res.dual_graph().vertices.values()) == [-5, -2, -2, -1, -1]
+    fields = {ctx2 for _chart, _c, ctx2, _child in res.root.children}
+    assert [ctx2.gen_names() for ctx2 in fields] == [("a2", "a2_")]
+
+
+def test_irrational_centre_past_tower_cap():
+    # over Q(sqrt 2)(sqrt 3) the centres w = +-sqrt(5) v need a third level
+    r2 = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    ctx = extend_field(r2, [as_scalar(r2, -3), as_scalar(r2, 0),
+                            as_scalar(r2, 1)])
+    h = parse_poly("(w^2 - 5*v^2)^2 + v^5", ctx=ctx, vars=VW)
+    with pytest.raises(TowerDepthExceeded):
+        resolve_germ(h, ctx)
+    # the square is caught up front, and by the engine when it gives up
+    with pytest.raises(NonReduced):
+        resolve_germ(h * h, ctx)
+    with pytest.raises(NonReduced):
+        resolve_germ(None, ctx, factors={"h": h * h})
 
 
 def test_factor_tags():

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from util import (
+    benchmark_pool,
     graph_matrix,
     is_negative_definite,
+    sampled_linear_track,
     whole_curve_singular_points,
 )
 
-from sislip import polar, sis
+from sislip import polar, scalar, sis
 from sislip.errors import (
     DegreeMismatch,
     NotHomogeneous,
@@ -204,7 +206,7 @@ def test_simple_discriminant_factors_build_no_field(monkeypatch):
         calls.append(m)
         return extend_field(ctx, m, name)
 
-    monkeypatch.setattr(sis, "extend_field", counting)
+    monkeypatch.setattr(scalar, "extend_field", counting)
     F = parse_poly("w^2 - v^4 + 2*v^2", vars=GERM_VARS)
     assert list(sis._affine_singularities(F)) == [(QQ, 0, 0, 1)]
     assert calls == []
@@ -391,10 +393,24 @@ def test_cubic_rate_comes_from_2_over_6(s_cubic):
     local = res.dual_graph()
     (node,) = detect_nodes(local, pt.h_local)
     rid = local.rep_of[node]
-    m_l = sis._generic_local_track(res)
+    m_l = sis._linear_form_track(res)
     m_h = res.track(pt.h_local)
     assert (m_l[rid], m_h[rid]) == (2, 6)
     assert Fraction(m_l[rid], m_h[rid]) + 1 == Fraction(4, 3)
+
+
+BENCHMARK_POOL = benchmark_pool()
+
+
+@pytest.mark.parametrize("text", list(BENCHMARK_POOL.values()),
+                         ids=list(BENCHMARK_POOL))
+def test_linear_form_valuations_match_sampled_forms(text):
+    # min(m_E(v), m_E(w)) is what three seeded forms v + t*w certified
+    s = sis.from_polynomial(A(text))
+    graph = sis.build_gamma(s, "inner")
+    assert graph.resolutions
+    for res in graph.resolutions.values():
+        assert sis._linear_form_track(res) == sampled_linear_track(res)
 
 
 def test_min_mode_keeps_nodes_as_edges(s_two_cubics):

@@ -1,11 +1,17 @@
 """Shared test helpers: oracles and exact linear algebra."""
 
+import importlib.util
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from sislip import sis
+from sislip.errors import GenericityAlarm
 from sislip.poly import (
     MPoly,
     _uni_gcd,
+    adjoin_root,
     exact_div,
     factor_coeff_list,
     mgcd,
@@ -15,7 +21,7 @@ from sislip.poly import (
     univariate_coeffs,
 )
 from sislip.resolve import GERM_VARS
-from sislip.scalar import QQ, as_scalar, extend_field, is_zero
+from sislip.scalar import QQ, as_scalar, is_zero
 
 AV = ("x", "y", "z")
 
@@ -155,19 +161,12 @@ def whole_curve_singular_points(f):
             shared = cs if shared is None else _uni_gcd(shared, cs)
     if shared and len(shared) > 1:
         for qc, _e in factor_coeff_list(squarefree_part_coeffs(shared), QQ):
-            ctx, z0 = _root(QQ, qc)
+            ctx, z0 = adjoin_root(QQ, qc)
             out.append((1, (Fraction(0), z0), ctx, len(qc) - 1))
     if all(is_zero(dehom(p, 2).terms.get((0, 0), Fraction(0)))
            for p in [f, *partials]):
         out.append((2, (Fraction(0), Fraction(0)), QQ, 1))
     return out
-
-
-def _root(ctx, m):
-    if len(m) == 2:
-        return ctx, -m[0]
-    ext = extend_field(ctx, m)
-    return ext, ext.gen()
 
 
 def _whole_curve_affine(f0):
@@ -190,7 +189,7 @@ def _whole_curve_affine(f0):
         if len(repeated) <= 1:
             return out
         for qc, _e in factor_coeff_list(repeated, QQ):
-            ctx1, v0 = _root(QQ, qc)
+            ctx1, v0 = adjoin_root(QQ, qc)
             shared = None
             for p in conds:
                 sp = p.lift(ctx1).set_var("v", v0)
@@ -200,7 +199,7 @@ def _whole_curve_affine(f0):
             if not shared or len(shared) <= 1:
                 continue
             for wq, _e2 in factor_coeff_list(squarefree_part_coeffs(shared), ctx1):
-                ctx2, w0 = _root(ctx1, wq)
+                ctx2, w0 = adjoin_root(ctx1, wq)
                 size = (len(qc) - 1) * (len(wq) - 1)
                 out.append((ctx2, as_scalar(ctx2, v0) + lam * w0, w0, size))
         return out
@@ -230,3 +229,45 @@ def per_point_polar_germ(s, pt, G):
         if d:
             g = mgcd(g, d)
     return strict if g.total_degree() == 0 else exact_div(strict, g)
+
+
+# ---------------------------------------------------------------------------
+# sampled oracle for the valuations of a generic linear form
+#
+# The path sislip used before it took min(m_E(v), m_E(w)): track three
+# seeded forms v + t*w and keep the minimum, which at least two of them
+# must attain on every curve.
+
+GENERIC_SAMPLES = 3
+
+
+def sampled_linear_track(res, seed=0):
+    """Certified valuations of a generic local linear form v + t*w."""
+    rng = random.Random(seed)
+    v = MPoly.var(res.base_ctx, GERM_VARS, "v")
+    w = MPoly.var(res.base_ctx, GERM_VARS, "w")
+    samples = [res.track(v + Fraction(rng.randint(1, 9999)) * w)
+               for _ in range(GENERIC_SAMPLES)]
+    out = {}
+    for rid in res.curves:
+        vals = [sm[rid] for sm in samples]
+        best = min(vals)
+        if vals.count(best) < GENERIC_SAMPLES - 1:
+            raise GenericityAlarm(
+                f"generic-linear-form samples disagree on curve {rid}: {vals}"
+            )
+        out[rid] = best
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the surfaces of the benchmark pool (perfbench/gen.py)
+
+def benchmark_pool():
+    """{name: surface text} of the benchmark's rational and algebraic pools."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = sys.modules.setdefault(spec.name,
+                                 importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen)
+    return {**gen.RATIONAL_POOL, **gen.ALGEBRAIC_POOL}
