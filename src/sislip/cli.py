@@ -137,11 +137,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, expr2=False):
+    def common(p, expr2=False, graph=True):
+        # only the graph commands have a DOT form
         p.add_argument("expr", help="polynomial expression")
         if expr2:
             p.add_argument("expr2", help="second polynomial expression")
-        p.add_argument("--format", choices=("dot", "json"), default="json")
+        if graph:
+            p.add_argument("--format", choices=("dot", "json"), default="json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=polar_mod.DEFAULT_SAMPLES)
         p.add_argument("--out", default=None)
@@ -165,12 +167,12 @@ def build_parser():
     p.set_defaults(func=cmd_polar)
 
     p = sub.add_parser("compare", help="compare two SIS presentations")
-    common(p, expr2=True)
+    common(p, expr2=True, graph=False)
     p.add_argument("--polar", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check", help="validate an SIS presentation")
-    common(p)
+    common(p, graph=False)
     p.set_defaults(func=cmd_check)
 
     return parser

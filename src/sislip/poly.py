@@ -9,10 +9,12 @@ Monomial order (graded lex) is fixed for printing and exact division only.
 sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
 QQ becomes an element of sympy's sparse `PolyRing(ZZ)` built from its term
 dict, scaled by the lcm of its denominators.  Resultants, multivariate and
-univariate gcds and factorizations with coefficients in QQ run there, and so
-do the products that build the cofactor M of a pullback numerator
-f~^m * M (`sis._pullback_numerator`); `factor_qq` factors a
-ternary form through its bivariate dehomogenization.  `MPoly.shift` over
+univariate gcds, univariate factorizations and squarefree decompositions
+with coefficients in QQ run there, and so do the products that build the
+cofactor M of a pullback numerator f~^m * M (`sis._pullback_numerator`).
+`factor_qq` factors a ternary form in-house: sympy factors one univariate
+image, and the factors are lifted from it by Hensel lifting modulo a
+Mersenne prime and recombined by trial division.  `MPoly.shift` over
 QQ is a Taylor pass in Python integers over one common denominator, with
 one `Fraction` per output term.  Everything over a number field stays in
 this module: the PRS gcd, Euclid on coefficient lists, Trager's
@@ -29,6 +31,7 @@ sign itself.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from fractions import Fraction
 
@@ -966,6 +969,8 @@ def factor_coeff_list(coeffs, ctx):
         return []
     inv = _sc.scalar_inv(coeffs[-1])
     coeffs = [c * inv for c in coeffs]
+    if len(coeffs) == 2:
+        return [(coeffs, 1)]
     if ctx.depth == 0:
         return _factor_qq(coeffs)
     # factor the radical with Trager, then read off exponents by division
@@ -1014,35 +1019,386 @@ def factor_qq(p):
     """Irreducible factorization over QQ of a nonzero ternary form.
 
     Returns (unit, [(factor, exponent), ...]) with unit * prod factor^k == p.
-    Each factor is primitive over ZZ with positive sympy-lex leading
-    coefficient.  Factors are ordered by the text of sympy's
-    ``Poly(factor, *vars, domain='QQ')``, so the order does not depend on
-    how sympy lists them.  Raises NotHomogeneous unless p is a form in three
-    variables.
+    Each factor is primitive over ZZ with positive lex-leading coefficient.
+    Factors are ordered by the text of sympy's ``Poly(factor, *vars,
+    domain='QQ')``.  Raises NotHomogeneous unless p is a form in three
+    variables, and DegreeTooLarge past `RECOMBINATION_CAP` or the largest
+    lifting prime.
 
-    p = z^k * b with b(x, y, 0) != 0, and b is the homogenization of
-    p(x, y, 1), which is factored in the bivariate PolyRing(ZZ).  Each factor
-    comes back homogenized to its own degree, and z^k is appended.  Lex order
-    on (x, y, z) compares the terms of a form as lex order on (x, y) does, so
-    the factors keep sympy's sign normalization.
+    A change of coordinates M (`_chart_change`) puts a point off the curve
+    at [1:0:0], so that F = (p o M)(x, y, 1) has a constant lead in x and
+    the factors of p o M are the homogenized factors of F.  F is factored
+    from one univariate image (`_factor_xy`), each factor is homogenized and
+    moved back by M^-1, then made primitive with a positive lex lead.
     """
     if not p:
         raise ZeroPolynomial("factorization of zero polynomial")
     if len(p.vars) != 3 or not p.is_homogeneous():
         raise NotHomogeneous("factor_qq factors forms in three variables")
-    d, a = to_zz(p)
-    k = min(e[2] for e in a)
-    flat = _zz_ring(p.vars[:2], None).from_dict({(i, j): c for (i, j, _), c in a.items()})
-    unit, flat_factors = flat.factor_list()
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    f = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    n = p.total_degree()
+    forward, back = _chart_change(f, n)
+    flat = {(i, j): c for (i, j, _), c in forward(f).items()}
     factors = []
-    for f, m in flat_factors:
-        deg = max(i + j for i, j in f)
-        factors.append((a.ring.from_dict({(i, j, deg - i - j): c for (i, j), c in f.items()}), m))
-    if k:
-        factors.append((a.ring.gens[2], k))
+    for h, k in _factor_xy(flat, n) if n else []:
+        m = max(i + j for i, j in h)
+        form = back({(i, j, m - i - j): c for (i, j), c in h.items()})
+        g = math.gcd(*form.values())
+        g = g if form[max(form)] > 0 else -g
+        factors.append((MPoly(QQ, p.vars, {e: Fraction(c // g) for e, c in form.items()}), k))
+    unit = p.terms[max(p.terms)]
+    for h, k in factors:
+        unit /= h.terms[max(h.terms)] ** k
     gens = ", ".join(p.vars)
-    factors.sort(key=lambda t: f"Poly({t[0]}, {gens}, domain='QQ')")
-    return Fraction(int(unit), d), [(from_zz(f, p.vars), m) for f, m in factors]
+    factors.sort(key=lambda t: f"Poly({to_zz(t[0])[1]}, {gens}, domain='QQ')")
+    return unit, factors
+
+
+# Mersenne primes 2^k - 1, proven prime: the lift runs modulo the first one
+# above twice the coefficient bound, or a later one if the image's factors
+# meet modulo it
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423, 9689, 9941, 11213, 19937)
+# candidate subsets of lifted factors tried before recombination gives up
+RECOMBINATION_CAP = 4096
+
+
+def _chart_change(f, n):
+    """(forward, back) for a change M with f(M e1) != 0, on integer forms
+    {exponent: coefficient}: forward(g) = g o M, back(g) = g o M^-1.
+
+    Tried in order: the identity, the swaps of x with y and with z (M e1 is
+    a coordinate point), then the shears (x, y + a*x, z + b*x) with a, b in
+    0..n by increasing a + b.  f(1, a, b) is a nonzero polynomial of degree
+    at most n in (a, b), so it cannot vanish on that whole grid.
+    """
+    def swap(i):
+        def move(g):
+            return {e[i:i + 1] + e[1:i] + e[:1] + e[i + 1:]: c for e, c in g.items()}
+        return move, move
+
+    def shear(a, b):
+        def move(g, a, b):
+            # c x^i (y + a x)^j (z + b x)^k, expanded
+            out = {}
+            for (i, j, k), c in g.items():
+                for j2 in range(j + 1):
+                    cj = c * math.comb(j, j2) * a ** (j - j2)
+                    for k2 in range(k + 1):
+                        e = (i + j - j2 + k - k2, j2, k2)
+                        out[e] = out.get(e, 0) + cj * math.comb(k, k2) * b ** (k - k2)
+            return {e: c for e, c in out.items() if c}
+        return (lambda g: move(g, a, b)), (lambda g: move(g, -a, -b))
+
+    for i in range(3):
+        if f.get(tuple(n if j == i else 0 for j in range(3))):
+            return swap(i) if i else ((lambda g: g),) * 2
+    for s in range(1, 2 * n + 1):
+        for a in range(max(0, s - n), min(s, n) + 1):
+            b = s - a
+            if sum(c * a ** j * b ** k for (_, j, k), c in f.items()):
+                return shear(a, b)
+    raise AssertionError("a nonzero form vanishes on the whole grid")
+
+
+def _factor_xy(F, n):
+    """[(factor, exponent)] of F in ZZ[x, y], a dict {(i, j): c} of total
+    degree n with a constant lead in x of degree n; each factor is a dict
+    of the same kind, up to a constant.
+
+    F is lifted from its first squarefree image F(x, y0) among the first
+    n + 1 values of y0 (`_squarefree_image`); F is then squarefree too.
+    With none there, F is split by its squarefree decomposition first (one
+    bivariate gcd, cheaper than the n(n - 1) + 1 images that would prove F
+    not squarefree), and each part is lifted from its first squarefree
+    image.
+    """
+    y0 = _squarefree_image(F, n, n + 1)
+    if y0 is not None:
+        return [(h, 1) for h in _lift_factors(F, n, y0)]
+    out = []
+    for g, k in _zz_ring(("x", "y"), None).from_dict(F).sqf_list()[1]:
+        g = {e: int(c) for e, c in g.items()}
+        m = max(i for i, _ in g)
+        y0 = _squarefree_image(g, m, m * (m - 1) + 1)
+        assert y0 is not None, "a squarefree part has a squarefree image"
+        out += [(h, k) for h in _lift_factors(g, m, y0)]
+    return out
+
+
+def _y_coeffs(F, n):
+    """F as a list over x of coefficient lists in y, low to high."""
+    rows = [[] for _ in range(n + 1)]
+    for (i, j), c in F.items():
+        row = rows[i]
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = c
+    return rows
+
+
+def _image(rows, y0):
+    return [sum(c * y0 ** j for j, c in enumerate(row)) for row in rows]
+
+
+def _squarefree_image(F, n, tries):
+    """The first y0 among `tries` values 0, 1, -1, 2, -2, ... with F(x, y0)
+    squarefree, or None.
+
+    For a squarefree F, n(n - 1) + 1 tries always find one: the
+    discriminant of F in x is nonzero, of degree at most n(n - 1) in y (the
+    resultant of forms of degrees n and n - 1).
+    """
+    rows = _y_coeffs(F, n)
+    for k in range(tries):
+        y0 = (k + 1) // 2 * (1 if k % 2 else -1)
+        if _uni_zz(_image(rows, y0)).is_squarefree:
+            return y0
+    return None
+
+
+def _lift_factors(F, n, y0):
+    """The irreducible factors of a squarefree F (see `_factor_xy`) whose
+    image F(x, y0) is squarefree.
+
+    The image is factored once in ZZ[x].  In t = y - y0, F is lifted
+    linearly to precision deg_y F + 1 along a balanced factor tree
+    (`_hensel_tree`), modulo a prime p above 2 * |lc| * B.  B bounds the
+    coefficients of every factor of Ft = F(x, y0 + t): Mignotte's bound
+    2^D * ||Ft||_2 holds for the Kronecker substitution t -> x^(n + 1) of
+    Ft, of degree D, and that substitution keeps the coefficients of a
+    factor apart.  The factors of F are then products of lifted factors
+    (`_recombine`).
+    """
+    rows = _y_coeffs(F, n)
+    image = _image(rows, y0)
+    _, pieces = _uni_zz(image).factor_list()
+    if len(pieces) == 1:
+        return [F]
+    # Ft[k][i]: the coefficient of x^i t^k in F(x, y0 + t)
+    shifted = [_taylor(row, y0) for row in rows]
+    Ft = [[row[k] if k < len(row) else 0 for row in shifted]
+          for k in range(max(map(len, shifted)))]
+    lc = image[-1]
+    norm2 = sum(c * c for col in Ft for c in col)
+    degree = max(i + k * (n + 1) for k, col in enumerate(Ft) for i, c in enumerate(col) if c)
+    bound = 2 * abs(lc) * (2 ** degree * (math.isqrt(norm2) + 1))
+    us = [[int(c) for c in reversed(u.to_dense())] for u, _ in pieces]
+    for e in _MERSENNE_EXPONENTS:
+        mod = 2 ** e - 1
+        if mod <= bound:
+            continue
+        inv = pow(lc, -1, mod)
+        monic = [_trim_mod([c * inv for c in col], mod) for col in Ft]
+        leaves = _hensel_tree(monic, [_monic_mod(u, mod) for u in us], mod, len(Ft))
+        if leaves is not None:
+            return _recombine(Ft, lc, leaves, [len(u) - 1 for u in us], mod, y0)
+    raise DegreeTooLarge(f"no lifting prime above {bound.bit_length()} bits")
+
+
+def _taylor(cs, c):
+    """Coefficients of cs(y + c), low to high, for integers cs and c."""
+    out = list(cs)
+    for k in range(len(out) - 1):
+        for j in range(len(out) - 2, k - 1, -1):
+            out[j] += c * out[j + 1]
+    return out
+
+
+# univariate arithmetic modulo p on coefficient lists, low to high; with
+# p None, _trim_mod, _add_mod, _sub_mod and _mul_mod run in plain integers
+
+def _trim_mod(a, p):
+    a = [c % p for c in a] if p is not None else list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul_mod(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return _trim_mod(out, p)
+
+
+def _add_mod(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim_mod([c + b[i] if i < len(b) else c for i, c in enumerate(a)], p)
+
+
+def _sub_mod(a, b, p):
+    return _add_mod(a, [-c for c in b], p)
+
+
+def _divmod_mod(a, b, p):
+    """(q, r) with a = q*b + r, deg r < deg b, modulo p."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - db - 1, -1, -1):
+        c = a[k + db] * inv % p
+        q[k] = c
+        if c:
+            for i in range(db + 1):
+                a[k + i] -= c * b[i]
+    return _trim_mod(q, p), _trim_mod(a[:db], p)
+
+
+def _monic_mod(a, p):
+    inv = pow(a[-1], -1, p)
+    return _trim_mod([c * inv for c in a], p)
+
+
+def _gcdex_mod(a, b, p):
+    """(s, t) with s*a + t*b = 1 modulo p; None if a and b meet mod p."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    if len(r0) != 1:
+        return None
+    inv = pow(r0[0], -1, p)
+    return _trim_mod([c * inv for c in s0], p), _trim_mod([c * inv for c in t0], p)
+
+
+def _hensel_tree(F, us, p, prec):
+    """Lift F = prod us (mod t) to factors of F (mod t^prec, p).
+
+    F is a list of prec coefficient lists in x, one per power of t, monic
+    in x with F[0] = prod us; us are monic and pairwise coprime modulo p.  Returns one
+    series per u, in order, or None if two products of them meet mod p.
+
+    Linear lifting over a balanced tree (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 15.5): at a node F = G*H with s*G[0] + r*H[0] = 1,
+    the coefficient e of t^k in F - G*H gives G[k] = r*e mod G[0] and
+    H[k] = s*e mod H[0].
+    """
+    if len(us) == 1:
+        return [F]
+    half = len(us) // 2
+    u = _prod_mod(us[:half], p)
+    w = _prod_mod(us[half:], p)
+    st = _gcdex_mod(u, w, p)
+    if st is None:
+        return None
+    s, r = st
+    G, H = [u], [w]
+    for k in range(1, prec):
+        e = F[k]
+        for i in range(1, k):
+            if G[i] and H[k - i]:
+                e = _sub_mod(e, _mul_mod(G[i], H[k - i], p), p)
+        G.append(_divmod_mod(_mul_mod(r, e, p), u, p)[1] if e else [])
+        H.append(_divmod_mod(_mul_mod(s, e, p), w, p)[1] if e else [])
+    left = _hensel_tree(G, us[:half], p, prec)
+    right = _hensel_tree(H, us[half:], p, prec)
+    return None if left is None or right is None else left + right
+
+
+def _recombine(Ft, lc, leaves, degrees, p, y0):
+    """The irreducible factors, as dicts {(i, j): c} in (x, y), of the F
+    whose shift F(x, y0 + t) is Ft, from its lifted factors (`_hensel_tree`)
+    of x-degrees `degrees`.
+
+    Each subset of the lifted factors, by increasing size (ibid. 15.6),
+    gives a candidate: lc times their product, mod t^prec, in symmetric
+    residues mod p, made primitive.  A true factor of x-degree m has total
+    degree m, so a candidate with a term x^i t^k, i + k > m, is dropped
+    untried; the others are tried by exact division.  A factor found leaves
+    with its subset; what is left once no subset of half the rest remains is
+    irreducible.  Each lifted factor alone is a candidate first, so when the
+    image splits as F does, the product of those candidates is F and no
+    larger subset is tried.
+    """
+    prec = len(Ft)
+    A = [_trim_mod([Ft[k][i] for k in range(prec)], None) for i in range(len(Ft[0]))]
+    items = list(zip(degrees, leaves))
+    found = []
+    size, tried = 1, 0
+    while 2 * size <= len(items):
+        for subset in itertools.combinations(range(len(items)), size):
+            tried += 1
+            if tried > RECOMBINATION_CAP:
+                raise DegreeTooLarge(
+                    f"factor recombination passed {RECOMBINATION_CAP} subsets")
+            series = items[subset[0]][1]
+            for i in subset[1:]:
+                series = _series_mul(series, items[i][1], p)
+            B = _candidate(series, A[-1][0], sum(items[i][0] for i in subset), p)
+            Q = None if B is None else _divide_xt(A, B)
+            if Q is not None:
+                found.append(B)
+                A = Q
+                items = [it for i, it in enumerate(items) if i not in subset]
+                break
+        else:
+            size += 1
+    if len(A) > 1:
+        found.append(A)
+    return [{(i, j): c for i, col in enumerate(B)
+             for j, c in enumerate(_taylor(col, -y0)) if c} for B in found]
+
+
+def _series_mul(a, b, p):
+    """The product of two series over t of x-polynomials, mod t^len(a), p."""
+    out = [[] for _ in a]
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(len(a) - i):
+                if b[j]:
+                    out[i + j] = _add_mod(out[i + j], _mul_mod(ai, b[j], p), p)
+    return out
+
+
+def _candidate(series, lc, m, p):
+    """lc * series in symmetric residues mod p, as a primitive list over x
+    of coefficient lists in t; None if it has a term past total degree m."""
+    B = [[] for _ in range(m + 1)]
+    for k, col in enumerate(series):
+        for i, c in enumerate(col):
+            c = c * lc % p
+            if c:
+                if i + k > m:
+                    return None
+                row = B[i]
+                row.extend([0] * (k + 1 - len(row)))
+                row[k] = c - p if 2 * c > p else c
+    g = math.gcd(*(c for row in B for c in row))
+    return [[c // g for c in row] for row in B]
+
+
+def _divide_xt(A, B):
+    """A / B in ZZ[t][x], both lists over x of coefficient lists in t, when
+    B divides A exactly; else None.  B's lead in x is an integer."""
+    db = len(B) - 1
+    if len(A) <= db:
+        return None
+    b = B[-1][0]
+    R = list(A)
+    Q = [None] * (len(A) - db)
+    for k in range(len(A) - 1 - db, -1, -1):
+        if any(c % b for c in R[k + db]):
+            return None
+        q = Q[k] = [c // b for c in R[k + db]]
+        for i in range(db):
+            R[k + i] = _sub_mod(R[k + i], _mul_mod(q, B[i], None), None)
+    return None if any(R[:db]) else Q
+
+
+def _prod_mod(polys, p):
+    out = [1]
+    for a in polys:
+        out = _mul_mod(out, a, p)
+    return out
 
 
 def _trager(f, ctx):

@@ -89,6 +89,27 @@ def _restrict_to_exc(p):
     return _sc._trim(out)
 
 
+def _centres(charts, ctx):
+    """[(q, mu, tag)]: the monic irreducible factors q over ctx of the
+    restrictions to the new curve, each with its multiplicity mu there and
+    the tag of the first branch it divides.
+
+    Each tag's restriction is factored on its own, and equal factors are
+    merged by adding their exponents: factorization is unique, so that is
+    the factorization of the product of the restrictions.  A factor with
+    mu = 1 divides exactly one of them, the one its tag names.
+    """
+    out = []
+    for tag, p in charts.items():
+        for qc, k in factor_coeff_list(_restrict_to_exc(p), ctx):
+            same = next((c for c in out if c[0] == qc), None)
+            if same is None:
+                out.append([qc, k, tag])
+            else:
+                same[1] += k
+    return out
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -226,16 +247,10 @@ class Resolution:
 
         # chart (v,w) -> (v, v*w): all directions except the v-axis
         f_charts = {tag: _strip_v(_subst_f(p))[0] for tag, p in factors.items()}
-        restricted = {tag: _restrict_to_exc(p) for tag, p in f_charts.items()}
-        prod = [Fraction(1)]
-        for cs in restricted.values():
-            prod = _sc._pmul(prod, cs)
-        for qc, mu in factor_coeff_list(prod, ctx):
+        for qc, mu, tag in _centres(f_charts, ctx):
             at_origin = len(qc) == 2 and is_zero(qc[0])
             corner = at_origin and b_id is not None
             if mu == 1 and not corner:
-                tag = next(t for t, cs in restricted.items()
-                           if not _sc._pdivmod(cs, qc)[1])
                 self.arrows.append((new_id, tag, len(qc) - 1))
                 continue
             ctx2, c = adjoin_root(ctx, qc)

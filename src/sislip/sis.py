@@ -166,8 +166,23 @@ class SingPoint:
         return p.lift(self.ctx).shift("v", c1).shift("w", c2)
 
     def value(self, p):
-        """The chart polynomial p evaluated at the point, over its field."""
-        return p.lift(self.ctx).evaluate(dict(zip(GERM_VARS, self.coords)))
+        """The chart polynomial p evaluated at the point, over its field.
+
+        Over QQ it runs in integers: with the coordinates a/D, b/D and the
+        coefficients c/L of p, of total degree n, p(a/D, b/D) is
+        sum(c * a^i * b^j * D^(n-i-j)) / (L * D^n).
+        """
+        p = p.lift(self.ctx)
+        if self.ctx.depth or not p:
+            return p.evaluate(dict(zip(GERM_VARS, self.coords)))
+        c1, c2 = self.coords
+        D = math.lcm(c1.denominator, c2.denominator)
+        a, b = c1.numerator * (D // c1.denominator), c2.numerator * (D // c2.denominator)
+        L = math.lcm(*(c.denominator for c in p.terms.values()))
+        n = p.total_degree()
+        total = sum(c.numerator * (L // c.denominator) * a ** i * b ** j * D ** (n - i - j)
+                    for (i, j), c in p.terms.items())
+        return Fraction(total, L * D ** n)
 
 
 def singular_points(s):

@@ -32,6 +32,16 @@ def test_usage_error_bad_flag(capsys):
     assert exc.value.code == 2
 
 
+def test_usage_error_format_on_compare_and_check(capsys):
+    # --format is a flag of the graph commands only
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", CUBIC, CUBIC, "--format", "dot"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", CUBIC, "--format", "json"])
+    assert exc.value.code == 2
+
+
 def test_usage_error_rates_without_inner(capsys):
     code, out, err = run(capsys, "sis-graph", CUBIC, "--mode", "min",
                          "--rates")

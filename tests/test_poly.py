@@ -1,5 +1,7 @@
 """Multivariate polynomials: parsing, arithmetic, gcd, resultants, factoring."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +10,14 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from util import benchmark_pool, linear_change, sympy_factor_qq
+
+from sislip import poly
 from sislip import scalar as _sc
 from sislip.errors import (
     CommonComponent,
     ContextMismatch,
+    DegreeTooLarge,
     NotHomogeneous,
     ParseError,
     UnknownVariable,
@@ -20,6 +26,7 @@ from sislip.poly import (
     MPoly,
     _uni_gcd,
     exact_div,
+    factor_coeff_list,
     factor_qq,
     factor_univariate,
     is_squarefree,
@@ -524,3 +531,99 @@ def test_factor_qq_products_of_forms_against_sympy(lines, k, quadric):
     if quadric:
         p = p * P("x^2 - y*z + 2*z^2", vars=AV)
     _check_factor_qq(p * MPoly.var(QQ, AV, "z") ** k)
+
+
+# ---------------------------------------------------------------------------
+# factoring ternary forms: sympy's bivariate factor_list as the oracle
+
+POOL = benchmark_pool()
+
+
+def _cone(text):
+    F = P(text, vars=AV)
+    parts = F.homogeneous_parts()
+    return parts[min(parts)]
+
+
+def _check_against_bivariate_oracle(p):
+    got = factor_qq(p)
+    assert got == sympy_factor_qq(p)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(POOL))
+def test_factor_qq_pool_cones_against_oracle(name):
+    # the tangent cone of each benchmark surface, and two drawn integer
+    # changes of coordinates of it
+    rng = random.Random(name)
+    cone = _cone(POOL[name])
+    for p in (cone, linear_change(cone, rng), linear_change(cone, rng)):
+        _check_against_bivariate_oracle(p)
+
+
+@pytest.mark.parametrize("text,pieces", [
+    ("x^2 - 2*y^2 - z^2", 1),
+    ("(x^2 - 2*y^2 - z^2)*(x - y)", 2),
+    ("(x^2 - 2*y^2 - z^2)*(x - y)*(x + 2*y - 3*z)", 3),
+    ("(x^4 - 2*y^4 - 4*z^4)*(x^2 - 3*y^2 - z^2)", 2),
+])
+def test_factor_qq_recombines_split_images(text, pieces):
+    # the image at y0 = 0 is squarefree, so it is the one lifted, and it has
+    # more factors than the form: the lifted factors must be recombined
+    p = P(text, vars=AV)
+    flat = poly._zz_ring(("x",), None).from_dict(
+        {(i,): c.numerator for (i, j, _k), c in p.terms.items() if j == 0})
+    assert flat.is_squarefree
+    assert len(flat.factor_list()[1]) > pieces
+    assert len(_check_against_bivariate_oracle(p)[1]) == pieces
+
+
+@pytest.mark.parametrize("text", [
+    "(x - y)^2*(x + y + z)",
+    "z^2*(x^2 + y^2 - z^2)",
+    "(x^2 - y*z)^3*(x + z)*z^2",
+    "x^2*y^3*z",
+    "(x^2 - 2*y^2 - z^2)^2*(x - y)",
+])
+def test_factor_qq_non_reduced_against_oracle(text):
+    _check_against_bivariate_oracle(P(text, vars=AV))
+
+
+@pytest.mark.parametrize("text", [
+    "x*y*z*(x + y + z)",
+    "(x*y - z^2)*(x*z - y^2)*(y*z - x^2)",
+    "x*y*z*(x^2 - 2*y^2 - z^2)",
+])
+def test_factor_qq_needs_a_shear(text):
+    # [1:0:0], [0:1:0] and [0:0:1] all lie on the curve, so no coordinate
+    # permutation puts a point off it at [1:0:0]
+    p = P(text, vars=AV)
+    n = p.total_degree()
+    assert not any(n in e for e in p.terms)
+    _check_against_bivariate_oracle(p)
+
+
+def test_factor_qq_recombination_cap(monkeypatch):
+    # x^2 - 1 splits, x^2 - 2*y^2 - z^2 does not: the first single lifted
+    # factor fails its trial division, and the second is past the cap
+    monkeypatch.setattr(poly, "RECOMBINATION_CAP", 1)
+    with pytest.raises(DegreeTooLarge):
+        factor_qq(P("x^2 - 2*y^2 - z^2", vars=AV))
+
+
+def test_factor_qq_forty_line_pencil():
+    # sympy's factor_list takes seconds here, so the check is the product
+    p = math.prod((P(f"x - {i}*y", vars=AV) for i in range(1, 41)),
+                  start=MPoly.const(QQ, AV, 1))
+    unit, facs = factor_qq(p)
+    assert len(facs) == 40
+    assert all(k == 1 and f.total_degree() == 1 for f, k in facs)
+    assert math.prod((f for f, _ in facs), start=MPoly.const(QQ, AV, unit)) == p
+
+
+def test_factor_coeff_list_linear_without_sympy(monkeypatch):
+    def refuse(coeffs):
+        raise AssertionError("a linear list reached sympy")
+    monkeypatch.setattr(poly, "_factor_qq", refuse)
+    assert factor_coeff_list([Fraction(3), Fraction(2)], QQ) == \
+        [([Fraction(3, 2), Fraction(1)], 1)]

@@ -145,6 +145,27 @@ def test_factor_tags():
     assert tags == ["axis", "cusp"]
 
 
+@pytest.mark.parametrize("branches,self_ints,edges,arrows", [
+    # both conics restrict to w^2 - 2 on the first curve: one centre over
+    # Q(sqrt 2) with multiplicity 2, two conjugate curves, two arrows each
+    (["w^2 - 2*v^2", "w^2 - 2*v^2 + v^3"], [-3, -1, -1], 2, {"b0": 2, "b1": 2}),
+    # b0 and b1 restrict to w - 1, b2 to w + 1
+    (["w - v", "w - v + v^2", "w + v"], [-2, -1], 1, {"b0": 1, "b1": 1, "b2": 1}),
+])
+def test_merged_branches(branches, self_ints, edges, arrows):
+    # branches through one centre of a blow-up: their factors merge, and the
+    # multiplicity there is the sum of their exponents
+    factors = {f"b{i}": P(text) for i, text in enumerate(branches)}
+    h = P("*".join(f"({text})" for text in branches))
+    for res in (resolve_germ(h), resolve_germ(h, QQ, factors=factors)):
+        g = res.dual_graph()
+        assert sorted(g.vertices.values()) == self_ints
+        assert len(g.edges) == edges
+        assert len(g.arrows) == sum(arrows.values())
+    tags = [a.tag for a in g.arrows]
+    assert {t: tags.count(t) for t in tags} == arrows
+
+
 def test_nonreduced_rejected():
     with pytest.raises(NonReduced):
         resolve_germ(P("w^2"))

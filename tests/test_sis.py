@@ -349,6 +349,14 @@ def test_localize_is_translation(localize_points, p):
         assert loc == p.lift(pt.ctx).evaluate({"v": v + c1, "w": w + c2})
 
 
+@settings(max_examples=30)
+@given(p=vw_polys)
+def test_value_is_evaluation(localize_points, p):
+    # over QQ the value is summed in integers, over Q(a) by MPoly.evaluate
+    for pt in localize_points:
+        assert pt.value(p) == p.lift(pt.ctx).evaluate(dict(zip(GERM_VARS, pt.coords)))
+
+
 # ---------------------------------------------------------------------------
 # decorated graphs
 

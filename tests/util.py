@@ -11,13 +11,16 @@ from sislip.errors import GenericityAlarm
 from sislip.poly import (
     MPoly,
     _uni_gcd,
+    _zz_ring,
     adjoin_root,
     exact_div,
     factor_coeff_list,
+    from_zz,
     mgcd,
     repeated_part_coeffs,
     resultant,
     squarefree_part_coeffs,
+    to_zz,
     univariate_coeffs,
 )
 from sislip.resolve import GERM_VARS
@@ -258,6 +261,32 @@ def sampled_linear_track(res, seed=0):
             )
         out[rid] = best
     return out
+
+
+# ---------------------------------------------------------------------------
+# sympy's bivariate factorization as the oracle of poly.factor_qq
+#
+# The path sislip used before it lifted factors from a univariate image:
+# p = z^k * b, and b(x, y, 1) goes to sympy's factor_list in ZZ[x, y].
+
+def sympy_factor_qq(p):
+    """(unit, [(factor, exponent)]) of a ternary form, as `factor_qq`
+    returns it, from sympy's bivariate factor_list."""
+    d, a = to_zz(p)
+    k = min(e[2] for e in a)
+    flat = _zz_ring(p.vars[:2], None).from_dict(
+        {(i, j): c for (i, j, _), c in a.items()})
+    unit, flat_factors = flat.factor_list()
+    factors = []
+    for f, m in flat_factors:
+        deg = max(i + j for i, j in f)
+        factors.append((a.ring.from_dict(
+            {(i, j, deg - i - j): c for (i, j), c in f.items()}), m))
+    if k:
+        factors.append((a.ring.gens[2], k))
+    gens = ", ".join(p.vars)
+    factors.sort(key=lambda t: f"Poly({t[0]}, {gens}, domain='QQ')")
+    return Fraction(int(unit), d), [(from_zz(f, p.vars), m) for f, m in factors]
 
 
 # ---------------------------------------------------------------------------
