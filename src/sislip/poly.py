@@ -6,26 +6,32 @@ Operands over two fields of one tower meet in the deeper one (`scalar.join`);
 translating a polynomial by an irrational point needs a `lift` first.
 Monomial order (graded lex) is fixed for printing and exact division only.
 
-sympy is reached through one boundary, `to_zz` / `from_zz`: an MPoly over
-QQ becomes an element of sympy's sparse `PolyRing(ZZ)` built from its term
-dict, scaled by the lcm of its denominators.  Resultants, multivariate and
-univariate gcds, univariate factorizations and squarefree decompositions
-with coefficients in QQ run there, and so do the products that build the
-cofactor M of a pullback numerator f~^m * M (`sis._pullback_numerator`).
-`factor_qq` factors a ternary form in-house: sympy factors one univariate
-image, and the factors are lifted from it by Hensel lifting modulo a
-Mersenne prime and recombined by trial division.  `MPoly.shift` over
-QQ is a Taylor pass in Python integers over one common denominator, with
-one `Fraction` per output term.  Everything over a number field stays in
-this module: the PRS gcd, Euclid on coefficient lists, Trager's
-factorization and the Bareiss resultant over Q(a).  Their scalar products
-run in the integer kernel of `scalar`, which stores an element of Q(a) as
-integer numerators over one denominator.
+Work over QQ crosses into integers at one boundary, `to_zz` / `from_zz`:
+an MPoly over QQ becomes a dict {exponent: int}, and a coefficient list a
+list of ints, scaled by the lcm of its denominators.  The integer kernels
+of this module run there, in plain Python integers:
+- gcds: the heuristic gcd (Char, Geddes & Gonnet, J. Symb. Comp. 1989)
+  with a proven evaluation point, then a primitive PRS if it keeps
+  failing (`_zz_gcd`, `_zz_mgcd`);
+- univariate factorization: modulo a small prime (distinct-degree, then
+  Cantor-Zassenhaus), quadratic Hensel lifting and recombination by trial
+  division (`_zz_factor_list`), with the factors in sympy's
+  `factor_list` order, so that answers keep their order;
+- resultants: the Sylvester determinant at integer points, interpolated
+  (`_zz_resultant`);
+- the products that build the cofactor M of a pullback numerator
+  f~^m * M (`sis._pullback_numerator`).
+`factor_qq` factors a ternary form from one univariate image: the factors
+are lifted from it by Hensel lifting modulo a Mersenne prime and
+recombined by trial division.  `MPoly.shift` over QQ is a Taylor pass in
+Python integers over one common denominator, with one `Fraction` per
+output term.  Everything over a number field runs on its scalars: the PRS
+gcd, Euclid on coefficient lists, Trager's factorization and the Bareiss
+resultant over Q(a).  Their scalar products run in the integer kernel of
+`scalar`, which stores an element of Q(a) as integer numerators over one
+denominator.  sympy serves as the test oracle only.
 
-`resultant` returns the exact Sylvester determinant in both cases.  sympy
-swaps the operands when the first has the smaller degree but omits the
-sign (-1)^(mn), so the QQ path puts the larger degree first and applies the
-sign itself.
+`resultant` returns the exact Sylvester determinant in both cases.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
+import random
 from fractions import Fraction
 
 from . import scalar as _sc
@@ -54,6 +62,7 @@ __all__ = [
     "resultant",
     "mgcd",
     "exact_div",
+    "divides",
     "factor_univariate",
     "factor_coeff_list",
     "adjoin_root",
@@ -328,14 +337,20 @@ class MPoly:
                 pows[key] = base ** k
             return pows[key]
 
-        total = Fraction(0) if target is None else MPoly.zero(*target)
+        total = Fraction(0) if target is None else {}
+        ctx = None if target is None else target[0]
         for e, c in self.terms.items():
             val = c if target is None else MPoly.const(*target, c)
             for i, name in enumerate(self.vars):
                 if e[i]:
                     val = val * power(name, e[i])
-            total = val + total
-        return total
+            if target is None:
+                total = val + total
+            else:
+                # summed in place: `val + total` would copy the sum per term
+                ctx = join(ctx, val.ctx)
+                _add_terms(total, val.terms)
+        return total if target is None else MPoly(ctx, target[1], total)
 
     # -- display ------------------------------------------------------------
 
@@ -579,53 +594,589 @@ def poly_from_coeffs(coeffs, ctx, vars, var):
 
 
 # ---------------------------------------------------------------------------
-# the integer boundary to sympy
+# the integer boundary
 
-_ZZ_RINGS = {}
+def to_zz(p):
+    """(D, a) with a = D * p over ZZ, D the lcm of the denominators of p.
 
-
-def _zz_ring(vars, first):
-    ring = _ZZ_RINGS.get((vars, first))
-    if ring is None:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.rings import PolyRing
-
-        gens = vars if first is None else (first,) + tuple(v for v in vars if v != first)
-        ring = _ZZ_RINGS[(vars, first)] = PolyRing(gens, ZZ)
-    return ring
-
-
-def to_zz(p, first=None):
-    """(D, a) with a = D * p in sympy's PolyRing(ZZ) on p.vars.
-
-    p has coefficients in QQ and D is the lcm of their denominators.  The
-    generator `first`, if given, is moved to the front of the ring.
+    For an MPoly p over QQ, a is a dict {exponent: int}; for a coefficient
+    list p over QQ, a is a list of ints, low to high.
     """
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    i = None if first is None else p.vars.index(first)
-    terms = {}
-    for e, c in p.terms.items():
-        if i is not None:
-            e = (e[i],) + e[:i] + e[i + 1:]
-        terms[e] = c.numerator * (den // c.denominator)
-    return den, _zz_ring(p.vars, first).from_dict(terms)
+    if isinstance(p, MPoly):
+        den = math.lcm(*(c.denominator for c in p.terms.values()))
+        return den, {e: c.numerator * (den // c.denominator)
+                     for e, c in p.terms.items()}
+    den = math.lcm(*(c.denominator for c in p))
+    return den, [c.numerator * (den // c.denominator) for c in p]
 
 
-def from_zz(a, vars, first=None, scale=Fraction(1)):
-    """The MPoly scale * a over QQ, for `a` from a ring built by to_zz.
-
-    `a` may also lack the front generator `first` (a resultant eliminates
-    it); that variable then has exponent 0.
-    """
-    i = None if first is None else vars.index(first)
+def from_zz(a, vars, scale=Fraction(1)):
+    """The MPoly scale * a over QQ, for an integer dict a in `vars`."""
     num, den = scale.numerator, scale.denominator
-    terms = {}
+    return MPoly(QQ, vars, {e: Fraction(c * num, den) for e, c in a.items()})
+
+
+def _monic_qq(a):
+    """The monic coefficient list over QQ of a nonzero integer list."""
+    return [Fraction(c, a[-1]) for c in a]
+
+
+# ---------------------------------------------------------------------------
+# integer kernels: univariate lists over ZZ, low to high
+#
+# The list helpers `_trim_mod`, `_mul_mod`, `_add_mod` and `_sub_mod` below
+# run in plain integers with p None.
+
+# evaluation points tried by a heuristic gcd before the PRS decides
+_HEU_TRIES = 6
+
+
+def _primitive(a):
+    """A nonzero integer list over the gcd of its coefficients, with a
+    positive lead."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _quo(a, b):
+    """a / b when the nonzero integer list b divides a in ZZ[x]; else None."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return None if any(r[:db]) else q
+
+
+def _deriv(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _horner(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _digits(g, xi):
+    """The digits of the integer g in base xi, low to high, each in
+    (-xi/2, xi/2]."""
+    out = []
+    while g:
+        d = g % xi
+        if 2 * d > xi:
+            d -= xi
+        out.append(d)
+        g = (g - d) // xi
+    return out
+
+
+def _next_point(xi):
+    # the growth of sympy's heuristic gcd, about xi^(5/4)
+    return 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+
+
+def _zz_gcd(a, b):
+    """gcd(a, b) in ZZ[x] of two nonzero integer lists, lead positive.
+
+    The heuristic gcd on the primitive parts: h, the polynomial whose
+    coefficients are the digits of gcd(a(xi), b(xi)) in base xi, made
+    primitive, is their gcd as soon as it divides both, for any
+    xi >= 2 min(|a|, |b|) + 2 in the max norm.  Proof: the gcd is pp(h) k
+    for some k in ZZ[x], and k(xi) divides the content of h, at most xi/2
+    in size; a nonconstant k divides a and b, so each of its roots is below
+    1 + min(|a|, |b|) in size (Cauchy), and then |k(xi)| > xi/2.  After
+    _HEU_TRIES points the primitive PRS (`_prs_gcd`) decides.
+    """
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    c = math.gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return [c]
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        h = _primitive(_digits(math.gcd(_horner(a, xi), _horner(b, xi)), xi))
+        if _quo(a, h) is not None and _quo(b, h) is not None:
+            break
+        xi = _next_point(xi)
+    else:
+        h = _primitive(_as_list(_prs_gcd(_as_dict(a), _as_dict(b))))
+    return [c * x for x in h]
+
+
+def _zz_squarefree(a):
+    return len(a) <= 2 or len(_zz_gcd(a, _deriv(a))) == 1
+
+
+def _zz_factor_list(a):
+    """[(factor, exponent)]: the irreducible factors of positive degree of a
+    nonzero integer list, each primitive with a positive lead.
+
+    They come in the order of sympy's factor_list: by degree, then
+    exponent, then coefficients from the lead down.  x^j comes off first;
+    the rest, made primitive, is factored through its squarefree part
+    (`_zassenhaus`), and each exponent is counted by trial division.
+    """
+    j = next(k for k, c in enumerate(a) if c)
+    f = _primitive(a[j:])
+    out = [([0, 1], j)] if j else []
+    if len(f) == 2:
+        out.append((f, 1))
+    elif len(f) > 2:
+        for h in _zassenhaus(_quo(f, _zz_gcd(f, _deriv(f)))):
+            k = 0
+            while (q := _quo(f, h)) is not None:
+                f, k = q, k + 1
+            out.append((h, k))
+    return sorted(out, key=lambda t: (len(t[0]), t[1], t[0][::-1]))
+
+
+def _zassenhaus(f):
+    """The irreducible factors in ZZ[x] of a squarefree primitive f of
+    positive lead, each primitive with a positive lead.
+
+    A quadratic splits by its discriminant.  Otherwise f is factored modulo
+    an odd prime p that keeps it squarefree (`_gf_factors`); as in sympy,
+    the first prime is kept unless it gives 15 factors or more, and then
+    the fewest of up to five primes.  The factors are lifted to a power m
+    of p above 2 |lc| B (`_hensel_lift`), where B = 2^n ||f||_2 bounds the
+    coefficients of every factor of f (Mignotte), and recombined by trial
+    division (`_recombine_zz`; von zur Gathen & Gerhard, Modern Computer
+    Algebra, 15.6).
+    """
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    if n == 2:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return [f]
+        # 4a f = (2a x + b - s)(2a x + b + s)
+        return [_primitive([b - s, 2 * a]), _primitive([b + s, 2 * a])]
+    lc = f[-1]
+    best, tried = None, 0
+    for p in _odd_primes():
+        if lc % p == 0:
+            continue
+        fp = _monic_mod(f, p)
+        if not _gf_squarefree(fp, p):
+            continue
+        us = _gf_factors(fp, p)
+        if len(us) == 1:
+            return [f]
+        if best is None or len(us) < len(best[1]):
+            best = p, us
+        tried += 1
+        if len(us) < 15 or tried == 5:
+            break
+    p, us = best
+    bound = 2 * lc * 2 ** n * (math.isqrt(sum(c * c for c in f)) + 1)
+    m = p
+    while m <= bound:
+        m *= m
+    return _recombine_zz(f, _hensel_lift(f, us, p, m), m)
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _recombine_zz(f, leaves, m):
+    """The irreducible factors of f from its monic factors `leaves` modulo
+    m > 2 |lc| B (see `_zassenhaus`).
+
+    Each subset of the leaves, by increasing size, gives a candidate: lc
+    times their product, in symmetric residues mod m, made primitive; a
+    true factor g of f comes back as lc/lc(g) * g, inside the residues.  A
+    candidate whose constant term does not divide lc * f(0) is dropped
+    untried, the others are tried by exact division.  A factor found
+    leaves with its subset; what is left once no subset of half the rest
+    remains is irreducible.  Past `RECOMBINATION_CAP` subsets the search
+    raises DegreeTooLarge.
+    """
+    found, size, tried = [], 1, 0
+    while 2 * size <= len(leaves):
+        lc = f[-1]
+        for subset in itertools.combinations(range(len(leaves)), size):
+            tried += 1
+            if tried > RECOMBINATION_CAP:
+                raise DegreeTooLarge(
+                    f"factor recombination passed {RECOMBINATION_CAP} subsets")
+            c0 = lc * math.prod(leaves[i][0] for i in subset) % m
+            c0 = c0 - m if 2 * c0 > m else c0
+            if not c0 or lc * f[0] % c0:
+                continue
+            g = [lc]
+            for i in subset:
+                g = _mul_mod(g, leaves[i], m)
+            g = _primitive([c - m if 2 * c > m else c for c in g])
+            q = _quo(f, g)
+            if q is not None:
+                found.append(g)
+                f = q
+                leaves = [u for i, u in enumerate(leaves) if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
+
+
+# arithmetic modulo a prime p on lists, low to high
+
+def _gf_gcd(a, b, p):
+    """The monic gcd modulo p; [] when both are zero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p) if a else a
+
+
+def _gf_squarefree(f, p):
+    d = _trim_mod(_deriv(f), p)
+    return bool(d) and len(_gf_gcd(f, d, p)) == 1
+
+
+def _powmod(a, e, f, p):
+    """a^e modulo f and p, f monic."""
+    out = [1]
+    a = _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _divmod_mod(_mul_mod(a, a, p), f, p)[1]
+    return out
+
+
+def _gf_factors(f, p):
+    """The monic irreducible factors modulo an odd prime p of a monic
+    squarefree f, sorted by degree, then coefficients from the lead down.
+
+    Distinct-degree factorization splits f into products of factors of one
+    degree d, from gcd(x^(p^d) - x, f); each product is split by
+    Cantor-Zassenhaus (`_gf_split`), with random elements drawn from a
+    fixed seed, so the run is deterministic.
+    """
+    rng = random.Random(0)
+    out = []
+    x = h = [0, 1]
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gf_gcd(_sub_mod(h, x, p), f, p)
+        if len(g) > 1:
+            out += _gf_split(g, d, p, rng)
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    if len(f) > 1:
+        out.append(f)
+    return sorted(out, key=lambda u: (len(u), u[::-1]))
+
+
+def _gf_split(g, d, p, rng):
+    """The monic irreducible factors of g modulo p, all of degree d: for a
+    random a, gcd(a^((p^d - 1)/2) - 1, g) splits g with probability about
+    1/2 (Cantor & Zassenhaus, Math. Comp. 1981)."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim_mod([rng.randrange(p) for _ in range(n)], p)
+        if len(a) < 2:
+            continue
+        u = _gf_gcd(_sub_mod(_powmod(a, e, g, p), [1], p), g, p)
+        if 1 < len(u) < len(g):
+            return (_gf_split(u, d, p, rng)
+                    + _gf_split(_divmod_mod(g, u, p)[0], d, p, rng))
+
+
+def _hensel_lift(f, us, p, m):
+    """The monic factors modulo m = p^(2^k) of f, lifted in order from the
+    monic pairwise coprime us with f = lc(f) * prod us modulo p.
+
+    A balanced tree: at a node f = g * h with g = lc * (the first half) and
+    h = (the rest), g and h are lifted together by quadratic steps
+    (`_hensel_step`), then each is split further (ibid., 15.5).
+    """
+    if len(us) == 1:
+        return [_monic_mod(f, m)]
+    k = len(us) // 2
+    g = _trim_mod([c * f[-1] for c in _prod_mod(us[:k], p)], p)
+    h = _prod_mod(us[k:], p)
+    s, t = _gcdex_mod(g, h, p)
+    q = p
+    while q < m:
+        g, h, s, t = _hensel_step(f, g, h, s, t, q)
+        q *= q
+    return _hensel_lift(g, us[:k], p, m) + _hensel_lift(h, us[k:], p, m)
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """(g, h, s, t) modulo m^2 from f = g h and s g + t h = 1 modulo m, h
+    monic (ibid., Algorithm 15.10)."""
+    M = m * m
+    e = _sub_mod(f, _mul_mod(g, h, None), M)
+    q, r = _divmod_mod(_mul_mod(s, e, M), h, M)
+    g = _add_mod(g, _add_mod(_mul_mod(t, e, None), _mul_mod(q, g, None),
+                             None), M)
+    h = _add_mod(h, r, M)
+    b = _sub_mod(_add_mod(_mul_mod(s, g, None), _mul_mod(t, h, None), None),
+                 [1], M)
+    c, d = _divmod_mod(_mul_mod(s, b, M), h, M)
+    s = _sub_mod(s, d, M)
+    t = _sub_mod(t, _add_mod(_mul_mod(t, b, None), _mul_mod(c, g, None), None),
+                 M)
+    return g, h, s, t
+
+
+# ---------------------------------------------------------------------------
+# integer kernels: multivariate dicts {exponent: int}
+
+def _as_dict(a):
+    return {(k,): c for k, c in enumerate(a) if c}
+
+
+def _as_list(a):
+    out = [0] * (max(e[0] for e in a) + 1)
+    for (k,), c in a.items():
+        out[k] = c
+    return out
+
+
+def _zz_mul(a, b):
+    """The product of two integer dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _zz_sub(a, b):
+    out = dict(a)
+    _add_terms(out, b, negate=True)
+    return out
+
+
+def _zz_quo(a, b):
+    """a / b for integer dicts when b divides a over ZZ; else None."""
+    def divide(c, lead):
+        q, r = divmod(c, lead)
+        return None if r else q
+    return _divide_terms(a, b, divide)
+
+
+def _deg_first(a):
+    return max(e[0] for e in a)
+
+
+def _zz_mgcd(a, b):
+    """gcd(a, b) in ZZ[x1, ..., xn] of two integer dicts, up to sign; empty
+    only when both are.
+
+    One variable runs in `_zz_gcd`.  With more, the heuristic gcd recurses
+    on the first variable: h, read off gcd(a(xi, ...), b(xi, ...)) by base-xi
+    digits of its coefficients, made primitive, is the primitive gcd once
+    it divides both, for xi >= 2 B + 2 with B bounding every coefficient of
+    every factor of a or of b (`_factor_bound`).  Proof: as in `_zz_gcd`,
+    the gcd is pp(h) k with k(xi) dividing the content of h, so k(xi) is an
+    integer at most xi/2 in size; the coefficients of k are below xi/2 in
+    size, and digit expansions in base xi with such digits are unique: k
+    is a constant.  After _HEU_TRIES points the primitive PRS (`_prs_gcd`)
+    decides.
+    """
+    if not a or not b:
+        return a or b
+    n = len(next(iter(a)))
+    if n == 0:
+        return {(): math.gcd(a[()], b[()])}
+    if n == 1:
+        return _as_dict(_zz_gcd(_as_list(a), _as_list(b)))
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    a = {e: x // ca for e, x in a.items()}
+    b = {e: x // cb for e, x in b.items()}
+    xi = 2 * min(_factor_bound(a), _factor_bound(b)) + 2
+    for _ in range(_HEU_TRIES):
+        g = _zz_mgcd(_eval_first(a, xi), _eval_first(b, xi))
+        h = {}
+        for e, v in g.items():
+            for k, d in enumerate(_digits(v, xi)):
+                if d:
+                    h[(k,) + e] = d
+        cont = math.gcd(*h.values())
+        h = {e: x // cont for e, x in h.items()}
+        if _zz_quo(a, h) is not None and _zz_quo(b, h) is not None:
+            break
+        xi = _next_point(xi)
+    else:
+        h = _prs_gcd(a, b)
+    c = math.gcd(ca, cb)
+    return {e: c * x for e, x in h.items()}
+
+
+def _factor_bound(a):
+    """A bound on the coefficients of every factor of the integer dict a:
+    |g_e| <= prod_i C(deg_i g, e_i) M(g) <= 2^(sum_i deg_i a) ||a||_2, as the
+    Mahler measure M is multiplicative, at least 1 on a nonzero integer
+    cofactor, and at most the 2-norm (Landau)."""
+    degs = sum(max(e[i] for e in a) for i in range(len(next(iter(a)))))
+    return 2 ** degs * (math.isqrt(sum(c * c for c in a.values())) + 1)
+
+
+def _eval_first(a, xi):
+    """a with its first variable set to xi, a dict in the others; a
+    coefficient that vanishes at xi is dropped."""
+    out = {}
     for e, c in a.items():
-        if i is not None:
-            k, e = (e[0], e[1:]) if len(e) == len(vars) else (0, e)
-            e = e[:i] + (k,) + e[i:]
-        terms[e] = Fraction(int(c) * num, den)
-    return MPoly(QQ, vars, terms)
+        out[e[1:]] = out.get(e[1:], 0) + c * xi ** e[0]
+    return {e: c for e, c in out.items() if c}
+
+
+def _prs_gcd(a, b):
+    """gcd(a, b), up to sign, of two nonzero integer dicts: the primitive
+    PRS in the first variable, times the gcd of the contents there."""
+    ca, a = _content_first(a)
+    cb, b = _content_first(b)
+    if _deg_first(a) < _deg_first(b):
+        a, b = b, a
+    while _deg_first(b) > 0:
+        r = _prem_first(a, b)
+        if not r:
+            break
+        a, b = b, _content_first(r)[1]
+    else:
+        # the primitive parts are coprime
+        b = {(0,) * len(next(iter(a))): 1}
+    return _zz_mul({(0,) + e: c for e, c in _zz_mgcd(ca, cb).items()}, b)
+
+
+def _content_first(a):
+    """(c, a / c): c the gcd of the coefficients of a in its first variable,
+    a dict in the others."""
+    coeffs = {}
+    for e, v in a.items():
+        coeffs.setdefault(e[0], {})[e[1:]] = v
+    c = {}
+    for x in coeffs.values():
+        c = _zz_mgcd(c, x)
+    return c, _zz_quo(a, {(0,) + e: v for e, v in c.items()})
+
+
+def _prem_first(a, b):
+    """A pseudo-remainder of a by b in the first variable: lc(b)^k a - q b
+    of degree below that of b."""
+    db = _deg_first(b)
+    lb = {(0,) + e[1:]: v for e, v in b.items() if e[0] == db}
+    while a and (da := _deg_first(a)) >= db:
+        la = {(da - db,) + e[1:]: v for e, v in a.items() if e[0] == da}
+        a = _zz_sub(_zz_mul(a, lb), _zz_mul(la, b))
+    return a
+
+
+def _sqf_first(F):
+    """[(part, k)]: Yun's squarefree decomposition of a nonzero integer dict
+    F each of whose factors involves its first variable: F is, up to a
+    constant, the product of the part^k, primitive, pairwise coprime and
+    squarefree."""
+    cont = math.gcd(*F.values())
+    c = {e: x // cont for e, x in F.items()}
+    d = _diff_first(c)
+    g = _zz_mgcd(c, d)
+    c, d = _zz_quo(c, g), _zz_quo(d, g)
+    d = _zz_sub(d, _diff_first(c))
+    out, k = [], 1
+    while _deg_first(c) > 0:
+        a = _zz_mgcd(c, d)
+        if _deg_first(a) > 0:
+            out.append((a, k))
+        c = _zz_quo(c, a)
+        d = _zz_sub(_zz_quo(d, a), _diff_first(c))
+        k += 1
+    return out
+
+
+def _diff_first(a):
+    return {(e[0] - 1,) + e[1:]: e[0] * c for e, c in a.items() if e[0]}
+
+
+def _zz_resultant(a, b, i, m, n):
+    """Res in slot i of the integer dicts a and b, of degrees m, n >= 1
+    there: the Sylvester determinant, a dict with exponent 0 in slot i.
+
+    The other variables are packed into one, T, by the Kronecker
+    substitution x_j -> T^(s_j), with strides s_j above the degree of the
+    resultant in x_j, which is at most n deg_j a + m deg_j b and at most
+    (total degree of a) * (total degree of b).  The determinant is taken in
+    integers at T = 0, 1, ..., D, D its degree bound in T, and interpolated:
+    Newton's forward differences over k! give its coefficients on the
+    falling factorials T (T - 1) ... (T - k + 1), which are then expanded.
+    """
+    others = [j for j in range(len(next(iter(a)))) if j != i]
+    total = max(map(sum, a)) * max(map(sum, b))
+    strides, radix, D = [], 1, 0
+    for j in others:
+        deg = min(n * max(e[j] for e in a) + m * max(e[j] for e in b), total)
+        strides.append(radix)
+        D += deg * radix
+        radix *= deg + 1
+
+    def pack(p, k):
+        # the coefficients of p in slot i, each a list over T
+        rows = [[0] * (D + 1) for _ in range(k + 1)]
+        for e, c in p.items():
+            rows[e[i]][sum(e[j] * s for j, s in zip(others, strides))] += c
+        return [_trim_mod(row, None) for row in rows]
+
+    pa, pb = pack(a, m), pack(b, n)
+    values = [_bareiss_det(_sylvester([_horner(r, t) for r in pa],
+                                      [_horner(r, t) for r in pb], 0),
+                           1, operator.floordiv) for t in range(D + 1)]
+    newton = []
+    for k in range(D + 1):
+        newton.append(values[0] // math.factorial(k))
+        values = [y - x for x, y in zip(values, values[1:])]
+    res = []
+    for k in range(D, -1, -1):
+        res = _add_mod(_mul_mod(res, [-k, 1], None), [newton[k]], None)
+    out = {}
+    for k, c in enumerate(res):
+        if c:
+            e = [0] * (len(others) + 1)
+            for j, s in reversed(list(zip(others, strides))):
+                e[j], k = divmod(k, s)
+            out[tuple(e)] = c
+    return out
+
+
+def _sylvester(pc, qc, zero):
+    """The Sylvester matrix of two coefficient lists, low to high, of
+    formal degrees len - 1: a row per shift of each, the lead first."""
+    m, n = len(pc) - 1, len(qc) - 1
+    rows = [[zero] * i + pc[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + qc[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +1188,30 @@ def _heap_key(e):
 
 
 def exact_div(p, q):
-    """Quotient p/q when q divides p exactly; None otherwise.
-
-    Division in graded lex order with a heap of remainder exponents.  Graded
-    lex is a monomial order, so every term a step adds to the remainder is
-    smaller than the lead it cancels: the heap's top is the remainder's lead
-    once entries whose term has since cancelled are skipped.  Quotient terms
-    come out from the largest down.
-    """
+    """Quotient p/q when q divides p exactly; None otherwise."""
     if not q:
         raise DivisionByZero("exact division by zero polynomial")
     if not p:
         return p
-    ctx = join(p.ctx, q.ctx)
-    q_lead = min(q.terms, key=_heap_key)
-    q_inv = scalar_inv(q.terms[q_lead])
-    q_tail = [(e, co) for e, co in q.terms.items() if e != q_lead]
-    rem = dict(p.terms)
+    q_inv = scalar_inv(q.terms[min(q.terms, key=_heap_key)])
+    quot = _divide_terms(p.terms, q.terms, lambda c, _lead: c * q_inv)
+    return None if quot is None else MPoly(join(p.ctx, q.ctx), p.vars, quot)
+
+
+def _divide_terms(p, q, divide):
+    """The term dict p / q when the nonzero term dict q divides p; else None.
+
+    divide(c, lead) is the coefficient c over q's lead coefficient, or None
+    when it does not exist.  Division in graded lex order with a heap of
+    remainder exponents.  Graded lex is a monomial order, so every term a
+    step adds to the remainder is smaller than the lead it cancels: the
+    heap's top is the remainder's lead once entries whose term has since
+    cancelled are skipped.  Quotient terms come out from the largest down.
+    """
+    q_lead = min(q, key=_heap_key)
+    lead = q[q_lead]
+    q_tail = [(e, co) for e, co in q.items() if e != q_lead]
+    rem = dict(p)
     heap = [(_heap_key(e), e) for e in rem]
     heapq.heapify(heap)
     quot = {}
@@ -665,7 +1223,9 @@ def exact_div(p, q):
         diff = tuple(a - b for a, b in zip(r_lead, q_lead))
         if any(d < 0 for d in diff):
             return None
-        c = lc * q_inv
+        c = divide(lc, lead)
+        if c is None:
+            return None
         quot[diff] = c
         for e, co in q_tail:
             e2 = tuple(a + b for a, b in zip(diff, e))
@@ -679,7 +1239,24 @@ def exact_div(p, q):
                     del rem[e2]
                 else:
                     rem[e2] = s
-    return MPoly(ctx, p.vars, quot)
+    return quot
+
+
+def divides(q, p):
+    """Whether the nonzero q divides p, both over QQ.
+
+    A necessary test comes first: q made primitive in ZZ[...] divides the
+    integral D * p there (Gauss), so its value at an integer point divides
+    that of D * p.  The point has large distinct coordinates
+    2^(61 + 32 k) - 1; only a pair that passes is tried by exact division.
+    """
+    a, b = to_zz(q)[1], to_zz(p)[1]
+    point = [2 ** (61 + 32 * k) - 1 for k in range(len(q.vars))]
+    at = [sum(c * math.prod(map(pow, point, e)) for e, c in t.items())
+          for t in (a, b)]
+    if at[0] and at[1] % (at[0] // math.gcd(*a.values())):
+        return False
+    return exact_div(p, q) is not None
 
 
 def multiplicity_of_factor(p, phi):
@@ -702,20 +1279,15 @@ def _coeff_gcd_list(polys):
     return g
 
 
-def _mgcd_qq(p, q):
-    _, a = to_zz(p)
-    _, b = to_zz(q)
-    return _monic(from_zz(a.gcd(b), p.vars))
-
-
 def mgcd(p, q):
-    """Monic-normalized gcd over the coefficient field (primitive PRS)."""
+    """Monic-normalized gcd over the coefficient field: in integers over QQ
+    (`_zz_mgcd`), else the primitive PRS."""
     if not p:
         return _monic(q)
     if not q:
         return _monic(p)
     if p.ctx == QQ and q.ctx == QQ and len(p.vars) > 1:
-        return _mgcd_qq(p, q)
+        return _monic(from_zz(_zz_mgcd(to_zz(p)[1], to_zz(q)[1]), p.vars))
     # pick the last variable actually used by either
     used = [
         i
@@ -786,12 +1358,14 @@ def _pseudo_rem(a, b, var):
 def _uni_gcd(a, b):
     """Monic gcd of two coefficient lists; [] when both are zero.
 
-    Over QQ it runs in sympy's PolyRing(ZZ); over a number field it is
+    Over QQ it runs in integers (`_zz_gcd`); over a number field it is
     Euclid on the coefficient lists.
     """
     a, b = _sc._trim(a), _sc._trim(b)
     if not any(isinstance(c, AlgNum) for c in a + b):
-        return _monic_coeffs(_uni_zz(a).gcd(_uni_zz(b)))
+        if not a or not b:
+            return _monic_qq(to_zz(a or b)[1]) if a or b else []
+        return _monic_qq(_zz_gcd(to_zz(a)[1], to_zz(b)[1]))
     while b:
         _, r = _sc._pdivmod(a, b)
         a, b = b, r
@@ -858,8 +1432,8 @@ def squarefree_part(p):
 def resultant(p, q, var):
     """Res_var(p, q): the determinant of the Sylvester matrix, exactly.
 
-    Over QQ it runs in sympy's PolyRing(ZZ); over a number field it is
-    fraction-free (Bareiss) elimination on the Sylvester matrix.
+    Over QQ it runs in integers (`_zz_resultant`); over a number field it
+    is fraction-free (Bareiss) elimination on the Sylvester matrix.
     """
     if not p or not q:
         raise ZeroPolynomial("resultant of zero polynomial")
@@ -873,59 +1447,43 @@ def resultant(p, q, var):
     if n == 0:
         return q ** m
     if ctx == QQ:
-        return _resultant_qq(p, q, var, m, n)
-    pc = [p.coeff_of(var, k) for k in range(m + 1)]
-    qc = [q.coeff_of(var, k) for k in range(n + 1)]
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [MPoly.zero(ctx, vars) for _ in range(size)]
-        for k in range(m + 1):
-            row[i + (m - k)] = pc[k]
-        rows.append(row)
-    for i in range(m):
-        row = [MPoly.zero(ctx, vars) for _ in range(size)]
-        for k in range(n + 1):
-            row[i + (n - k)] = qc[k]
-        rows.append(row)
-    return _bareiss_det(rows, ctx, vars)
+        da, a = to_zz(p)
+        db, b = to_zz(q)
+        # Res(a, b) = da^n * db^m * Res(p, q): p fills n rows, q fills m rows
+        r = _zz_resultant(a, b, vars.index(var), m, n)
+        return from_zz(r, vars, Fraction(1, da ** n * db ** m))
+    rows = _sylvester([p.coeff_of(var, k) for k in range(m + 1)],
+                      [q.coeff_of(var, k) for k in range(n + 1)],
+                      MPoly.zero(ctx, vars))
+    return _bareiss_det(rows, MPoly.const(ctx, vars, 1), _exact_quotient)
 
 
-def _resultant_qq(p, q, var, m, n):
-    # sympy swaps operands with deg p < deg q without the sign (-1)^(mn), so
-    # the larger degree goes first and the sign is applied here.
-    sign = 1
-    if m < n:
-        p, q, m, n = q, p, n, m
-        sign = (-1) ** (m * n)
-    da, a = to_zz(p, var)
-    db, b = to_zz(q, var)
-    # Res(a, b) = da^n * db^m * Res(p, q): p fills n rows, q fills m rows
-    r = a.resultant(b)
-    if not isinstance(r, dict):  # one-variable ring: an integer
-        r = {(): r} if r else {}
-    return from_zz(r, p.vars, var, Fraction(sign, da ** n * db ** m))
+def _exact_quotient(a, b):
+    q = exact_div(a, b)
+    assert q is not None, "Bareiss exact division failed"
+    return q
 
 
-def _bareiss_det(rows, ctx, vars):
+def _bareiss_det(rows, one, divide):
+    """The determinant of a square matrix over an integral domain, by
+    fraction-free elimination; divide(a, b) is the exact quotient a / b."""
     n = len(rows)
     sign = 1
-    prev = MPoly.const(ctx, vars, 1)
+    prev = one
     for k in range(n - 1):
         if not rows[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if pivot_row is None:
-                return MPoly.zero(ctx, vars)
+                return rows[k][k]
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
+        pivot, top = rows[k][k], rows[k]
         for i in range(k + 1, n):
+            row = rows[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
-                q = exact_div(num, prev)
-                assert q is not None, "Bareiss exact division failed"
-                rows[i][j] = q
-            rows[i][k] = MPoly.zero(ctx, vars)
-        prev = rows[k][k]
+                row[j] = divide(row[j] * pivot - lead * top[j], prev)
+        prev = pivot
     det = rows[n - 1][n - 1]
     return det if sign > 0 else -det
 
@@ -1000,19 +1558,8 @@ def adjoin_root(ctx, m):
     return ext, ext.gen()
 
 
-def _uni_zz(coeffs):
-    """A univariate coefficient list over QQ, cleared into PolyRing(ZZ)."""
-    return to_zz(poly_from_coeffs(coeffs, QQ, ("t",), "t"))[1]
-
-
-def _monic_coeffs(a):
-    """The monic coefficient list of an element of _uni_zz's ring."""
-    return univariate_coeffs(_monic(from_zz(a, ("t",))))
-
-
 def _factor_qq(coeffs):
-    _, factors = _uni_zz(coeffs).factor_list()
-    return [(_monic_coeffs(f), k) for f, k in factors]
+    return [(_monic_qq(f), k) for f, k in _zz_factor_list(to_zz(coeffs)[1])]
 
 
 def factor_qq(p):
@@ -1020,10 +1567,10 @@ def factor_qq(p):
 
     Returns (unit, [(factor, exponent), ...]) with unit * prod factor^k == p.
     Each factor is primitive over ZZ with positive lex-leading coefficient.
-    Factors are ordered by the text of sympy's ``Poly(factor, *vars,
-    domain='QQ')``.  Raises NotHomogeneous unless p is a form in three
-    variables, and DegreeTooLarge past `RECOMBINATION_CAP` or the largest
-    lifting prime.
+    Factors are ordered by the text sympy prints for ``Poly(factor, *vars,
+    domain='QQ')`` (`_sympy_text`).  Raises NotHomogeneous unless p is a
+    form in three variables, and DegreeTooLarge past `RECOMBINATION_CAP`
+    or the largest lifting prime.
 
     A change of coordinates M (`_chart_change`) puts a point off the curve
     at [1:0:0], so that F = (p o M)(x, y, 1) has a constant lead in x and
@@ -1051,8 +1598,27 @@ def factor_qq(p):
     for h, k in factors:
         unit /= h.terms[max(h.terms)] ** k
     gens = ", ".join(p.vars)
-    factors.sort(key=lambda t: f"Poly({to_zz(t[0])[1]}, {gens}, domain='QQ')")
+    factors.sort(key=lambda t: f"Poly({_sympy_text(to_zz(t[0])[1], p.vars)},"
+                               f" {gens}, domain='QQ')")
     return unit, factors
+
+
+def _sympy_text(a, vars):
+    """The text sympy prints for the integer dict a in `vars`: terms in
+    decreasing lex order, joined by " + " and " - ", with "**" powers and
+    no unit coefficients."""
+    parts = []
+    for e in sorted(a, reverse=True):
+        c = a[e]
+        mono = "*".join(v if k == 1 else f"{v}**{k}"
+                        for v, k in zip(vars, e) if k)
+        if not mono:
+            body = str(abs(c))
+        else:
+            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        parts.append((" - " if c < 0 else " + ") + body)
+    text = "".join(parts)
+    return "-" + text[3:] if text.startswith(" - ") else text[3:]
 
 
 # Mersenne primes 2^k - 1, proven prime: the lift runs modulo the first one
@@ -1109,17 +1675,16 @@ def _factor_xy(F, n):
 
     F is lifted from its first squarefree image F(x, y0) among the first
     n + 1 values of y0 (`_squarefree_image`); F is then squarefree too.
-    With none there, F is split by its squarefree decomposition first (one
-    bivariate gcd, cheaper than the n(n - 1) + 1 images that would prove F
-    not squarefree), and each part is lifted from its first squarefree
-    image.
+    With none there, F is split by its squarefree decomposition in x first
+    (`_sqf_first`: a few bivariate gcds, cheaper than the n(n - 1) + 1
+    images that would prove F not squarefree), and each part is lifted
+    from its first squarefree image.
     """
     y0 = _squarefree_image(F, n, n + 1)
     if y0 is not None:
         return [(h, 1) for h in _lift_factors(F, n, y0)]
     out = []
-    for g, k in _zz_ring(("x", "y"), None).from_dict(F).sqf_list()[1]:
-        g = {e: int(c) for e, c in g.items()}
+    for g, k in _sqf_first(F):
         m = max(i for i, _ in g)
         y0 = _squarefree_image(g, m, m * (m - 1) + 1)
         assert y0 is not None, "a squarefree part has a squarefree image"
@@ -1152,7 +1717,7 @@ def _squarefree_image(F, n, tries):
     rows = _y_coeffs(F, n)
     for k in range(tries):
         y0 = (k + 1) // 2 * (1 if k % 2 else -1)
-        if _uni_zz(_image(rows, y0)).is_squarefree:
+        if _zz_squarefree(_image(rows, y0)):
             return y0
     return None
 
@@ -1164,15 +1729,16 @@ def _lift_factors(F, n, y0):
     The image is factored once in ZZ[x].  In t = y - y0, F is lifted
     linearly to precision deg_y F + 1 along a balanced factor tree
     (`_hensel_tree`), modulo a prime p above 2 * |lc| * B.  B bounds the
-    coefficients of every factor of Ft = F(x, y0 + t): Mignotte's bound
-    2^D * ||Ft||_2 holds for the Kronecker substitution t -> x^(n + 1) of
-    Ft, of degree D, and that substitution keeps the coefficients of a
-    factor apart.  The factors of F are then products of lifted factors
-    (`_recombine`).
+    coefficients of every factor g of Ft = F(x, y0 + t):
+    |g_(i,k)| <= C(deg_x g, i) C(deg_t g, k) M(g) for the Mahler measure M,
+    which is multiplicative and at least 1 on the integer cofactor Ft / g,
+    so M(g) <= M(Ft) <= ||Ft||_2 (Landau), and B = 2^(deg_x Ft + deg_t Ft)
+    * ||Ft||_2.  A candidate is lc / lc_x(g) * g, below |lc| B in size.
+    The factors of F are then products of lifted factors (`_recombine`).
     """
     rows = _y_coeffs(F, n)
     image = _image(rows, y0)
-    _, pieces = _uni_zz(image).factor_list()
+    pieces = _zz_factor_list(image)
     if len(pieces) == 1:
         return [F]
     # Ft[k][i]: the coefficient of x^i t^k in F(x, y0 + t)
@@ -1181,9 +1747,8 @@ def _lift_factors(F, n, y0):
           for k in range(max(map(len, shifted)))]
     lc = image[-1]
     norm2 = sum(c * c for col in Ft for c in col)
-    degree = max(i + k * (n + 1) for k, col in enumerate(Ft) for i, c in enumerate(col) if c)
-    bound = 2 * abs(lc) * (2 ** degree * (math.isqrt(norm2) + 1))
-    us = [[int(c) for c in reversed(u.to_dense())] for u, _ in pieces]
+    bound = 2 * abs(lc) * 2 ** (n + len(Ft) - 1) * (math.isqrt(norm2) + 1)
+    us = [u for u, _ in pieces]
     for e in _MERSENNE_EXPONENTS:
         mod = 2 ** e - 1
         if mod <= bound:

@@ -35,11 +35,12 @@ from .errors import (
 from .poly import (
     MPoly,
     _uni_gcd,
+    _zz_mul,
     adjoin_root,
+    divides,
     factor_coeff_list,
     factor_qq,
     from_zz,
-    mgcd,
     multiplicity_of_factor,
     repeated_part_coeffs,
     resultant,
@@ -86,8 +87,9 @@ def validate(f_d, f_dplus1):
             f"degrees must be consecutive, got {d} and {f_dplus1.total_degree()}"
         )
     s = SISPresentation(f_d, -f_dplus1, d)
-    components(s)  # raises TangentConeNotReduced
-    if mgcd(f_d, f_dplus1).total_degree() > 0:
+    # the components are the irreducible factors of f_d, so the forms share
+    # one iff some component divides f_{d+1}
+    if any(divides(c, f_dplus1) for _, c in components(s)):
         raise NotSuperisolated("the two forms share a component")
     for pt in singular_points(s):
         if is_zero(pt.value(dehomogenize(s.g, pt.chart))):
@@ -538,7 +540,7 @@ def _pullback_numerator(s, G, chart):
     An L-curve is cut out by a non-constant component h of f~, and the cone
     is reduced, so nu_h(f~) = 1 and nu_h(N) = m + nu_h(M).
 
-    The sum runs in PolyRing(ZZ) over one common denominator: with
+    The sum runs in integer term dicts over one common denominator: with
     df * f~, dg * g~ and d_k * G_k~ integral, term k is divided by
     df^(k-m) * dg^(K-k) * d_k, and M is the integral sum over their lcm.
     """
@@ -549,14 +551,22 @@ def _pullback_numerator(s, G, chart):
     dg, gt = to_zz(dehomogenize(s.g, chart))
     parts = G.homogeneous_parts()
     K, m = max(parts), min(parts)
+    fpow, gpow = [{(0, 0): 1}], [{(0, 0): 1}]
+    for _ in range(K - m):
+        fpow.append(_zz_mul(fpow[-1], ft))
+        gpow.append(_zz_mul(gpow[-1], gt))
     summands = []  # (denominator, integral numerator) of term k
     for k, part in parts.items():
         dk, gk = to_zz(dehomogenize(part, chart))
         summands.append((df ** (k - m) * dg ** (K - k) * dk,
-                         ft ** (k - m) * gt ** (K - k) * gk))
+                         _zz_mul(_zz_mul(fpow[k - m], gpow[K - k]), gk)))
     den = math.lcm(*(d for d, _ in summands))
-    total = sum((den // d * a for d, a in summands), ft.ring.zero)
-    M = from_zz(total, GERM_VARS, scale=Fraction(1, den))
+    total = {}
+    for d, a in summands:
+        for e, c in a.items():
+            total[e] = total.get(e, 0) + den // d * c
+    M = from_zz({e: c for e, c in total.items() if c}, GERM_VARS,
+                scale=Fraction(1, den))
     if not M:
         raise ZeroOnComponent("function vanishes identically on the surface")
     s._pullbacks[key] = m, M

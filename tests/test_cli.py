@@ -189,3 +189,37 @@ def test_check_out_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("ok: superisolated, degree 3")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_parser_reused_across_subcommands_and_usage_errors(capsys):
+    # main builds its parser on the first call and keeps it; alternating
+    # subcommands with usage errors (exit 2) must not carry anything over
+    requests = [
+        (["check", CUBIC], 0),
+        (["sis-graph", CUBIC, "--format", "png"], 2),
+        (["sis-graph", CUBIC, "--mode", "min", "--seed", "5"], 0),
+        ([], 2),
+        (["sis-graph", CUBIC], 0),
+        (["check", CUBIC, "--format", "json"], 2),
+        (["inner-rates", CUBIC], 0),
+        (["resolve-germ"], 2),
+        (["check", CUBIC], 0),
+    ]
+    outs = []
+    for argv, expected in requests:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        outs.append(capsys.readouterr().out)
+        assert code == expected, argv
+    assert outs[0] == outs[8]
+    assert json.loads(outs[2])["provenance"] == {
+        "input": CUBIC, "seed": 5, "mode": "min"}
+    # the defaults come back after a request that set them
+    assert json.loads(outs[4])["provenance"] == {
+        "input": CUBIC, "seed": 0, "mode": "inner"}
+    assert '"rate": "4/3"' in outs[6] and '"rate"' not in outs[4]

@@ -1,6 +1,11 @@
-"""Every name a sislip module imports is used there or re-exported."""
+"""Imports: every name a sislip module imports is used there or
+re-exported, and no request imports sympy."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -8,6 +13,13 @@ import pytest
 import sislip
 
 SRC = Path(sislip.__file__).resolve().parent
+
+# benchmark pool inputs (perfbench/gen.py): rational and conjugate points,
+# and the paper's sextic pair
+CUBIC = "y^3 + x*z^2 - x^4"
+CONICS = "(y*z - x^2)*(x*z - y^2 + 3*z^2) + (x + y + z)^5"
+PAIR_A = "(y^3 - z^2*x)*(y^3 + z^2*x) + (x + y + z)^7"
+PAIR_B = "(y^3 - z^2*x)*(y^3 + 2*z^2*x) + (x + y + z)^7"
 
 
 def unused_imports(source):
@@ -45,3 +57,28 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_requests_never_import_sympy():
+    # sympy is the test oracle only: no request loads it
+    script = textwrap.dedent(f"""
+        import io, sys
+        from contextlib import redirect_stdout
+        from sislip.cli import main
+        requests = [
+            ["check", {CUBIC!r}],
+            ["inner-rates", {CONICS!r}],
+            ["polar", {CUBIC!r}, "--samples", "3"],
+            ["compare", {PAIR_A!r}, {PAIR_B!r}, "--polar", "--samples", "3"],
+        ]
+        for argv in requests:
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        sys.exit("sympy" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

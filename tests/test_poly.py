@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyRing
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -571,7 +573,7 @@ def test_factor_qq_recombines_split_images(text, pieces):
     # the image at y0 = 0 is squarefree, so it is the one lifted, and it has
     # more factors than the form: the lifted factors must be recombined
     p = P(text, vars=AV)
-    flat = poly._zz_ring(("x",), None).from_dict(
+    flat = PolyRing(("x",), ZZ).from_dict(
         {(i,): c.numerator for (i, j, _k), c in p.terms.items() if j == 0})
     assert flat.is_squarefree
     assert len(flat.factor_list()[1]) > pieces
@@ -623,7 +625,7 @@ def test_factor_qq_forty_line_pencil():
 
 def test_factor_coeff_list_linear_without_sympy(monkeypatch):
     def refuse(coeffs):
-        raise AssertionError("a linear list reached sympy")
+        raise AssertionError("a linear list reached the factorizer")
     monkeypatch.setattr(poly, "_factor_qq", refuse)
     assert factor_coeff_list([Fraction(3), Fraction(2)], QQ) == \
         [([Fraction(3, 2), Fraction(1)], 1)]

@@ -1,26 +1,29 @@
 """Shared test helpers: oracles and exact linear algebra."""
 
 import importlib.util
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyRing
 
 from sislip import sis
 from sislip.errors import GenericityAlarm
 from sislip.poly import (
     MPoly,
     _uni_gcd,
-    _zz_ring,
     adjoin_root,
     exact_div,
     factor_coeff_list,
-    from_zz,
     mgcd,
     repeated_part_coeffs,
     resultant,
     squarefree_part_coeffs,
-    to_zz,
     univariate_coeffs,
 )
 from sislip.resolve import GERM_VARS
@@ -272,21 +275,86 @@ def sampled_linear_track(res, seed=0):
 def sympy_factor_qq(p):
     """(unit, [(factor, exponent)]) of a ternary form, as `factor_qq`
     returns it, from sympy's bivariate factor_list."""
-    d, a = to_zz(p)
+    d = math.lcm(*(c.denominator for c in p.terms.values()))
+    ring = PolyRing(p.vars, ZZ)
+    a = ring.from_dict({e: c.numerator * (d // c.denominator)
+                        for e, c in p.terms.items()})
     k = min(e[2] for e in a)
-    flat = _zz_ring(p.vars[:2], None).from_dict(
+    flat = PolyRing(p.vars[:2], ZZ).from_dict(
         {(i, j): c for (i, j, _), c in a.items()})
     unit, flat_factors = flat.factor_list()
     factors = []
     for f, m in flat_factors:
         deg = max(i + j for i, j in f)
-        factors.append((a.ring.from_dict(
+        factors.append((ring.from_dict(
             {(i, j, deg - i - j): c for (i, j), c in f.items()}), m))
     if k:
-        factors.append((a.ring.gens[2], k))
+        factors.append((ring.gens[2], k))
     gens = ", ".join(p.vars)
     factors.sort(key=lambda t: f"Poly({t[0]}, {gens}, domain='QQ')")
-    return Fraction(int(unit), d), [(from_zz(f, p.vars), m) for f, m in factors]
+    return Fraction(int(unit), d), [
+        (MPoly(QQ, p.vars, {e: Fraction(int(c)) for e, c in f.items()}), m)
+        for f, m in factors]
+
+
+# ---------------------------------------------------------------------------
+# sympy as the oracle of the integer kernels of sislip.poly
+#
+# Integer polynomials are lists of ints, low to high, or dicts
+# {exponent: int} in the generators x0, x1, ...
+
+def _gens(n):
+    return tuple(f"x{i}" for i in range(n))
+
+
+def sympy_factor_list(a):
+    """[(factor, exponent)] of an integer list from sympy's factor_list, in
+    its order; each factor a list, primitive with a positive lead."""
+    x = sympy.Symbol("x")
+    _, facs = sympy.Poly(a[::-1], x, domain="ZZ").factor_list()
+    return [([int(c) for c in reversed(f.all_coeffs())], k) for f, k in facs]
+
+
+def sympy_gcd(a, b, n):
+    """gcd of two integer dicts in n variables, from sympy's PolyRing(ZZ),
+    with a positive lead in lex order."""
+    ring = PolyRing(_gens(n), ZZ)
+    g = ring.from_dict(a).gcd(ring.from_dict(b))
+    return {e: int(c) for e, c in g.items()}
+
+
+def sympy_sqf_list(a, n):
+    """[(part, exponent)] of an integer dict from sympy's sqf_list, each
+    part with a positive lead in lex order."""
+    ring = PolyRing(_gens(n), ZZ)
+    return [({e: int(c) for e, c in g.items()}, k)
+            for g, k in ring.from_dict(a).sqf_list()[1]]
+
+
+def sympy_text(a, vars):
+    """The text sympy prints for the integer dict a in `vars`."""
+    return str(PolyRing(vars, ZZ).from_dict(a))
+
+
+def sylvester_resultant(a, b, i, n):
+    """The Sylvester determinant of two integer dicts in n variables,
+    eliminating the one in slot i, as an integer dict (exponent 0 there)."""
+    gens = sympy.symbols(_gens(n))
+    m = max(e[i] for e in a)
+    k = max(e[i] for e in b)
+
+    def coeffs(p, deg):
+        out = [sympy.Integer(0)] * (deg + 1)
+        for e, c in p.items():
+            out[deg - e[i]] += c * sympy.prod(
+                g ** x for j, (g, x) in enumerate(zip(gens, e)) if j != i)
+        return out
+
+    rows = [[0] * r + coeffs(a, m) + [0] * (k - 1 - r) for r in range(k)]
+    rows += [[0] * r + coeffs(b, k) + [0] * (m - 1 - r) for r in range(m)]
+    det = DomainMatrix.from_list_sympy(m + k, m + k, rows)
+    poly = sympy.Poly(det.domain.to_sympy(det.det()), *gens, domain="ZZ")
+    return {e: int(c) for e, c in poly.terms() if c}
 
 
 # ---------------------------------------------------------------------------
