@@ -27,9 +27,11 @@ recombined by trial division.  `MPoly.shift` over QQ is a Taylor pass in
 Python integers over one common denominator, with one `Fraction` per
 output term.  Everything over a number field runs on its scalars: the PRS
 gcd, Euclid on coefficient lists, Trager's factorization and the Bareiss
-resultant over Q(a).  Their scalar products run in the integer kernel of
-`scalar`, which stores an element of Q(a) as integer numerators over one
-denominator.  sympy serves as the test oracle only.
+resultant over Q(a).  Their scalar products and inverses run in the
+integer kernel of `scalar`, which stores an element of Q(a) as integer
+numerators over one denominator; the extended Euclid on `Fraction` lists
+is left to the inverses of a depth-2 tower.  `divides` filters at a fixed
+point of primes before it divides.  sympy serves as the test oracle only.
 
 `resultant` returns the exact Sylvester determinant in both cases.
 """
@@ -1242,20 +1244,28 @@ def _divide_terms(p, q, divide):
     return quot
 
 
+# the least prime above 3^(39 + 20 k), k = 0 .. 4: after their prime
+# factors below 10^6 are removed, the difference and the sum of any two
+# keep a cofactor above 2^60, so a small linear form such as x - y takes
+# no smooth value at the point
+_DIVIDES_POINT = tuple(3 ** (39 + 20 * k) + d
+                       for k, d in enumerate((82, 64, 22, 154, 92)))
+
+
 def divides(q, p):
     """Whether the nonzero q divides p, both over QQ.
 
     A necessary test comes first: q made primitive in ZZ[...] divides the
     integral D * p there (Gauss), so its value at an integer point divides
-    that of D * p.  The point has large distinct coordinates
-    2^(61 + 32 k) - 1; only a pair that passes is tried by exact division.
+    that of D * p.  The point is `_DIVIDES_POINT`; only a pair that passes
+    is tried by exact division.
     """
     a, b = to_zz(q)[1], to_zz(p)[1]
-    point = [2 ** (61 + 32 * k) - 1 for k in range(len(q.vars))]
-    at = [sum(c * math.prod(map(pow, point, e)) for e, c in t.items())
-          for t in (a, b)]
-    if at[0] and at[1] % (at[0] // math.gcd(*a.values())):
-        return False
+    if len(q.vars) <= len(_DIVIDES_POINT):
+        at = [sum(c * math.prod(map(pow, _DIVIDES_POINT, e)) for e, c in t.items())
+              for t in (a, b)]
+        if at[0] and at[1] % (at[0] // math.gcd(*a.values())):
+            return False
     return exact_div(p, q) is not None
 
 
@@ -1359,7 +1369,8 @@ def _uni_gcd(a, b):
     """Monic gcd of two coefficient lists; [] when both are zero.
 
     Over QQ it runs in integers (`_zz_gcd`); over a number field it is
-    Euclid on the coefficient lists.
+    Euclid on the coefficient lists, each step dividing by a lead whose
+    inverse over Q(a) is one integer solve (`scalar.scalar_inv`).
     """
     a, b = _sc._trim(a), _sc._trim(b)
     if not any(isinstance(c, AlgNum) for c in a + b):

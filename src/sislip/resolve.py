@@ -36,7 +36,6 @@ from .poly import (
     is_squarefree,
     mgcd,
     resultant,
-    squarefree_part_coeffs,
     univariate_coeffs,
 )
 from .scalar import FieldCtx, is_zero, join
@@ -459,15 +458,32 @@ def detect_nodes(graph, germ):
         return set()
     nodes = {vid for vid in graph.vertices if graph.valency(vid) >= 3}
     h = germ.h if isinstance(germ, GermCurve) else germ
-    if _distinct_tangent_lines(h) >= 2:
+    if not _one_tangent_line(h):
         nodes.add(min(graph.vertices))
     return nodes
 
 
-def _distinct_tangent_lines(h):
-    tc = h.tangent_cone()
-    count = 1 if tc.order_in("v") > 0 else 0
-    cs = univariate_coeffs(tc.set_var("v", 1), "w")
-    if len(cs) > 1:
-        count += len(squarefree_part_coeffs(cs)) - 1
-    return count
+def _one_tangent_line(h):
+    """Whether the tangent cone of h is a single line, with no gcd.
+
+    The cone is sum c_j v^(m-j) w^j.  A single monomial v^a w^b is one line
+    exactly when a or b is 0.  Any other single line is c_0 (v + r w)^m with
+    r != 0, so every c_j is nonzero and r = c_1 / (m c_0): the cone is one
+    line exactly when c_0 is nonzero and c_j (m c_0)^j = c_0 C(m, j) c_1^j
+    for every j, which needs no inverse.  (These equations already fail
+    when c_m = 0, since two monomials are present.)
+    """
+    tc = h.tangent_cone().terms
+    if len(tc) == 1:
+        ((a, b),) = tc
+        return a == 0 or b == 0
+    m = h.order_at_origin()
+    c = [tc.get((m - j, j), 0) for j in range(m + 1)]
+    if is_zero(c[0]):
+        return False
+    mc0, lhs, rhs = m * c[0], 1, 1  # lhs, rhs: (m c_0)^j and c_1^j
+    for j in range(1, m + 1):
+        lhs, rhs = lhs * mc0, rhs * c[1]
+        if c[j] * lhs != c[0] * math.comb(m, j) * rhs:
+            return False
+    return True

@@ -6,11 +6,15 @@ number is always collapsed to the scalar of the field below, so equality is a
 plain value comparison and dict keys behave.
 
 An element of a depth-1 field Q(a) is stored as integer numerators over one
-positive integer denominator, and `+`, `-`, `*` and scaling by a rational are
-integer operations: a product is an integer convolution followed by one
-reduction through the field's table of a^n .. a^(2n-2).  Elements of deeper
-levels keep coefficient lists over the field below, whose coefficients are
-scalars of that field; inverses run the extended Euclid on coefficient lists.
+positive integer denominator, and `+`, `-`, `*`, scaling by a rational and
+inverses are integer operations: a product is an integer convolution
+followed by one reduction through the field's table of a^n .. a^(2n-2), and
+an inverse is one fraction-free (Bareiss) solve of the integer system of
+multiplication by the element.  `horner1` evaluates an integer polynomial
+at a point of Q(a) on the same integers.  Elements of deeper levels keep
+coefficient lists over the field below, whose coefficients are scalars of
+that field; only their inverses run the extended Euclid on coefficient
+lists (`_ext_gcd`).
 
 Every proper extension comes from `extend_field`, which certifies it and
 stops at `MAX_TOWER_DEPTH`; `poly.adjoin_root` calls it for every root.
@@ -237,26 +241,122 @@ def _add1(ctx, x, y):
     return _alg1(ctx, out, den)
 
 
-def _mul1(ctx, x, y):
-    xn, yn = x.num, y.num
+def _conv(xn, yn):
+    """The product of two integer coefficient lists in a."""
     conv = [0] * (len(xn) + len(yn) - 1)
     for i, c in enumerate(xn):
         if c:
             for j, d in enumerate(yn, i):
                 conv[j] += c * d
-    den = x.den * y.den
+    return conv
+
+
+def _reduce1(ctx, conv):
+    """(low, s) with low / s = conv mod the minimal polynomial of ctx, for
+    an integer list conv of length up to 2n - 1; s is 1 when conv already
+    has degree below n, else the denominator of the field's power table."""
     n, big, rows = ctx.power_table()
-    if len(conv) > n:
-        low = conv[:n]
-        if big != 1:
-            low = [c * big for c in low]
-            den *= big
-        for c, row in zip(conv[n:], rows):
-            if c:
-                for i, t in enumerate(row):
-                    low[i] += c * t
-        conv = low
-    return _alg1(ctx, conv, den)
+    if len(conv) <= n:
+        return conv, 1
+    low = conv[:n]
+    if big != 1:
+        low = [c * big for c in low]
+    for c, row in zip(conv[n:], rows):
+        if c:
+            for i, t in enumerate(row):
+                low[i] += c * t
+    return low, big
+
+
+def _mul1(ctx, x, y):
+    low, s = _reduce1(ctx, _conv(x.num, y.num))
+    return _alg1(ctx, low, x.den * y.den * s)
+
+
+def _inv1(x):
+    """The inverse of x in its depth-1 field, by one fraction-free solve.
+
+    x = X / den with X = sum num[i] a^i.  Its inverse is y = den * sum z_i a^i,
+    where z solves M z = e_0 and column j of M holds the coefficients of
+    X a^j.  With s the denominator of the power table, s M is an integer
+    matrix.  Bareiss elimination takes [s M | e_0] to an upper triangular
+    [U | b] whose last pivot d is +-det(s M), and back substitution gives
+    the integers t_i = d z_i / s (Cramer: d z_i is a ratio of integer
+    determinants) with one exact division per entry.
+    """
+    ctx = x.ctx
+    n, big, _ = ctx.power_table()
+    cols = []
+    for j in range(n):
+        low, s = _reduce1(ctx, [0] * j + list(x.num))
+        cols.append([c * (big // s) for c in low] + [0] * (n - len(low)))
+    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pivot_row is None:
+                # minimal polynomial not irreducible: a certified ctx has none
+                raise DivisionByZero(f"non-invertible element in {ctx}")
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    d = prev
+    t = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = d * row[n] - sum(row[j] * t[j] for j in range(i + 1, n))
+        t[i] = acc // row[i]
+    if d < 0:
+        d, t = -d, [-c for c in t]
+    return _alg1(ctx, [c * x.den * big for c in t], d)
+
+
+def horner1(ctx, terms, den, point):
+    """sum(c x^i y^j) / den for the integer term dict terms = {(i, j): c}
+    at the point (x, y), scalars of the depth-1 field ctx.
+
+    Horner in y over Horner in x, on integer numerators over a running
+    denominator; the value is brought to canonical form once, at the end.
+    """
+    (xn, xd), (yn, yd) = (
+        (v.num, v.den) if isinstance(v, AlgNum) else ((v.numerator,), v.denominator)
+        for v in point)
+
+    def mul(num, d, vn, vd):
+        low, s = _reduce1(ctx, _conv(num, vn))
+        return low, d * vd * s
+
+    def add(num, d, r, rd):
+        if len(num) < len(r):
+            num, d, r, rd = r, rd, num, d
+        out = [c * rd for c in num]
+        for i, c in enumerate(r):
+            out[i] += c * d
+        return out, d * rd
+
+    rows = {}
+    for (i, j), c in terms.items():
+        rows.setdefault(j, {})[i] = c
+    num, d = [0], 1
+    top_j = max(rows)
+    for j in range(top_j, -1, -1):
+        if j < top_j:
+            num, d = mul(num, d, yn, yd)
+        row = rows.get(j)
+        if not row:
+            continue
+        top = max(row)
+        r, rd = [row[top]], 1
+        for i in range(top - 1, -1, -1):
+            r, rd = mul(r, rd, xn, xd)
+            r[0] += row.get(i, 0) * rd
+        num, d = add(num, d, r, rd)
+    return _alg1(ctx, num, d * den)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +556,8 @@ def scalar_inv(s):
         return 1 / s
     if isinstance(s, int):
         return Fraction(1, s)
+    if s.depth == 1:
+        return _inv1(s)
     ctx = s.ctx
     m = list(ctx.top_minpoly)
     g, u = _ext_gcd(list(s.coeffs), m)

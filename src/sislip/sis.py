@@ -49,7 +49,7 @@ from .poly import (
 )
 from .resolve import (
     GERM_VARS,
-    _distinct_tangent_lines,
+    _one_tangent_line,
     detect_nodes,
     resolve_germ,
 )
@@ -172,10 +172,17 @@ class SingPoint:
 
         Over QQ it runs in integers: with the coordinates a/D, b/D and the
         coefficients c/L of p, of total degree n, p(a/D, b/D) is
-        sum(c * a^i * b^j * D^(n-i-j)) / (L * D^n).
+        sum(c * a^i * b^j * D^(n-i-j)) / (L * D^n).  Over a depth-1 field
+        Q(a) it is Horner's rule in the integer kernel of `scalar`
+        (`scalar.horner1`); over a deeper field, `MPoly.evaluate`.
         """
+        if not p:
+            return Fraction(0)
+        if self.ctx.depth == 1 and p.ctx == QQ:
+            L, terms = to_zz(p)
+            return _sc.horner1(self.ctx, terms, L, self.coords)
         p = p.lift(self.ctx)
-        if self.ctx.depth or not p:
+        if self.ctx.depth:
             return p.evaluate(dict(zip(GERM_VARS, self.coords)))
         c1, c2 = self.coords
         D = math.lcm(c1.denominator, c2.denominator)
@@ -341,11 +348,13 @@ def _make_point(s, chart, coords, ctx, size, own=None):
     """The point with its germ of C; None when `own` is given and is not
     the list of the first one or two components through the point.
 
-    Each component is evaluated at the point once; only those through it
-    are localized, and only once the point is kept.  The others are units
-    of the local ring, so h_local, the product of the local factors, is f~
-    at the point times a unit: every order, valuation and tangent line is
-    that of f~.
+    Each component is evaluated at the point once (`SingPoint.value`);
+    only those through it are localized, and only once the point is kept.
+    The others are units of the local ring, so h_local, the product of the
+    local factors, is f~ at the point times a unit: every order, valuation
+    and tangent line is that of f~.  The point is an ODP when h_local has
+    order 2 and its tangent cone is not one line (`resolve._one_tangent_line`,
+    a test on the cone's coefficients with no gcd).
     """
     pt = SingPoint(ctx, chart, coords, size)
     through = {}
@@ -359,7 +368,7 @@ def _make_point(s, chart, coords, ctx, size, own=None):
     pt.branch_names = [name for name, loc in pt.local_factors.items()
                        for _ in range(loc.order_at_origin())]
     h = pt.h_local = math.prod(pt.local_factors.values())
-    pt.is_odp = h.order_at_origin() == 2 and _distinct_tangent_lines(h) == 2
+    pt.is_odp = h.order_at_origin() == 2 and not _one_tangent_line(h)
     return pt
 
 

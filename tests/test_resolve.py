@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from util import binomial_resolution_oracle, intersection_matrix, \
     is_negative_definite
 
@@ -13,9 +15,10 @@ from sislip.errors import (
     NonReduced,
     TowerDepthExceeded,
 )
-from sislip.poly import parse_poly
+from sislip.poly import MPoly, parse_poly, squarefree_part_coeffs, univariate_coeffs
 from sislip.resolve import (
     GermCurve,
+    _one_tangent_line,
     blow_up,
     detect_nodes,
     intersection_mult,
@@ -274,3 +277,76 @@ def test_germ_curve_validation():
         GermCurve(QQ, P("v^2*w"))
     with pytest.raises(CenterNotOnDivisor):
         GermCurve(QQ, P("v + 1"))
+
+
+# ---------------------------------------------------------------------------
+# the one-tangent-line test, against a count of distinct lines by a gcd
+
+
+def distinct_tangent_lines(h):
+    """The number of distinct lines of the tangent cone of h: the line
+    v = 0 if v divides the cone, plus the distinct roots of cone(1, w)."""
+    tc = h.tangent_cone()
+    count = 1 if tc.order_in("v") > 0 else 0
+    cs = univariate_coeffs(tc.set_var("v", 1), "w")
+    if len(cs) > 1:
+        count += len(squarefree_part_coeffs(cs)) - 1
+    return count
+
+
+def _cone_fields():
+    sqrt2 = extend_field(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    zeta5 = extend_field(QQ, [Fraction(1)] * 5)
+    return {"QQ": QQ, "sqrt2": sqrt2, "cyclotomic5": zeta5}
+
+
+CONE_FIELDS = _cone_fields()
+
+
+def _line_coeffs(ctx):
+    """A few scalars of ctx, repeats likely, for the linear factors."""
+    base = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]
+    if ctx.depth:
+        a = ctx.gen()
+        base += [a, 1 + a, Fraction(-1, 2) * a]
+    return base
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CONE_FIELDS)), data=st.data())
+def test_one_tangent_line_matches_distinct_line_count(name, data):
+    ctx = CONE_FIELDS[name]
+    coeffs = st.sampled_from(_line_coeffs(ctx))
+    pairs = data.draw(st.lists(st.tuples(coeffs, coeffs), min_size=1, max_size=5))
+    v = MPoly.var(ctx, VW, "v")
+    w = MPoly.var(ctx, VW, "w")
+    cone = MPoly.const(ctx, VW, data.draw(coeffs.filter(bool)))
+    for a, b in pairs:
+        if a or b:
+            cone = cone * (a * v + b * w)
+    m = cone.total_degree()
+    if m == 0:
+        return
+    h = cone + v ** (m + 1) + w ** (m + 2)
+    assert _one_tangent_line(h) == (distinct_tangent_lines(h) == 1)
+
+
+def test_one_tangent_line_cases():
+    sqrt2 = CONE_FIELDS["sqrt2"]
+    r = sqrt2.gen()
+    v = MPoly.var(sqrt2, VW, "v")
+    w = MPoly.var(sqrt2, VW, "w")
+    cases = [
+        (P("v^3"), True), (P("w^4"), True), (P("v + w^2"), True),
+        (P("v^2*w"), False), (P("v*w^3"), False), (P("v*w"), False),
+        # c_1 = 0 with c_m != 0: r would be 0, yet w^m is present
+        (P("v^2 - 2*w^2"), False), (P("v^3 + w^3"), False),
+        (P("v^2 + 2*v*w + w^2 + v^3"), True), (P("(2*v - 3*w)^4 + w^5"), True),
+        (P("(v - w)^3*(v + w)"), False), (P("v^3 + 3*v^2*w + 3*v*w^2"), False),
+        ((v + r * w) ** 3 + w ** 4, True), ((v - r * w) * (v + r * w), False),
+        ((r * v + w) ** 2 * 3, True), (v * v - 2 * r * v * w + 2 * w * w, True),
+        (v * v - 2 * w * w, False),
+    ]
+    for h, one in cases:
+        assert _one_tangent_line(h) is one, h
+        assert (distinct_tangent_lines(h) == 1) is one, h

@@ -1,12 +1,14 @@
 """Exact scalar arithmetic: rationals and algebraic extensions."""
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sislip import scalar
 from sislip.errors import (
     ContextMismatch,
     DivisionByZero,
@@ -16,6 +18,8 @@ from sislip.errors import (
 from sislip.scalar import (
     QQ,
     AlgNum,
+    FieldCtx,
+    _ext_gcd,
     _padd,
     _pmod,
     _pmul,
@@ -215,6 +219,73 @@ def test_kernel_collapses_to_fraction():
     a4 = a ** 4
     assert_canonical(a4)
     assert (a4.num, a4.den) == ((-41, 96, -96, 56), 16)
+
+
+# -- inverses: one integer solve at depth 1, the extended Euclid deeper
+
+INVERSE_FIELDS = {
+    **KERNEL_FIELDS,
+    "septic": (-1, -1, 0, 0, 0, 0, 0, 1),
+    # non-integral minimal polynomial t^7 - 3/2 t^2 + 1/5
+    "septic_frac": (Fraction(1, 5), 0, Fraction(-3, 2), 0, 0, 0, 0, 1),
+}
+
+
+@cache
+def inverse_field(name):
+    return extend_field(QQ, [Fraction(c) for c in INVERSE_FIELDS[name]])
+
+
+def euclid_inverse(x):
+    """The inverse of a depth-1 scalar by the extended Euclid on its
+    Fraction coefficient list."""
+    g, u = _ext_gcd(coeff_list(x), list(x.ctx.top_minpoly))
+    assert len(g) == 1
+    return make_algnum(x.ctx, [c / g[0] for c in u])
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(sorted(INVERSE_FIELDS)),
+       xs=st.lists(rats, min_size=2, max_size=7))
+def test_integer_inverse_matches_euclid(name, xs):
+    ctx = inverse_field(name)
+    x = make_algnum(ctx, xs[:len(ctx.top_minpoly) - 1])
+    if isinstance(x, AlgNum):
+        inv = scalar_inv(x)
+        assert_canonical(inv)
+        assert inv == euclid_inverse(x)
+        assert x * inv == Fraction(1)
+
+
+def test_euclid_serves_depth_two_only(monkeypatch):
+    ctx1 = sqrt2_ctx()
+    r = ctx1.gen()
+    ctx2 = extend_field(ctx1, [as_scalar(ctx1, -3), as_scalar(ctx1, 0),
+                               as_scalar(ctx1, 1)])
+    y = (2 + r) * ctx2.gen() + Fraction(5, 7)
+    calls = []
+
+    def spy(a, m):
+        calls.append(len(m))
+        return _ext_gcd(a, m)
+
+    monkeypatch.setattr(scalar, "_ext_gcd", spy)
+    for name in sorted(INVERSE_FIELDS):
+        a = inverse_field(name).gen()
+        for x in (a, a * a - Fraction(1, 3), Fraction(2, 9) * a ** 3 + a + 7):
+            assert x * scalar_inv(x) == Fraction(1)
+    assert (r + 3) / (1 + r) * (1 + r) == r + 3
+    assert calls == []
+    assert y * scalar_inv(y) == Fraction(1)
+    assert calls and all(k == 3 for k in calls)  # over Q(sqrt 2), degree 2
+
+
+def test_zero_divisor_has_no_inverse():
+    # t^2 - 1 is reducible, so t - 1 is a zero divisor; extend_field never
+    # builds such a field, but the solve must still refuse it
+    ctx = FieldCtx((("t", (Fraction(-1), Fraction(0), Fraction(1))),))
+    with pytest.raises(DivisionByZero):
+        scalar_inv(make_algnum(ctx, [Fraction(-1), Fraction(1)]))
 
 
 def test_mixed_depth_product():

@@ -317,14 +317,18 @@ def test_singular_points_localize_only_kept_points(monkeypatch):
 
 @pytest.fixture(scope="module")
 def localize_points():
-    """A rational point, and the Q(a) point class of four conjugate points
-    where two conics meet."""
+    """A rational point, the Q(a) point class of four conjugate points
+    where two conics meet, and a point with one rational coordinate over a
+    field whose minimal polynomial has non-integral coefficients."""
     rational = sis.SingPoint(QQ, 0, (Fraction(2, 3), Fraction(-5, 4)), 1)
     s = sis.from_polynomial(
         A("(y*z - x^2)*(x*z - y^2 + 3*z^2) + (x + y + z)^5"))
     (conjugate,) = sis.singular_points(s)
     assert conjugate.ctx.degree() == 4
-    return rational, conjugate
+    ctx = extend_field(QQ, [Fraction(41, 16), -6, 6, Fraction(-7, 2), 1])
+    a = ctx.gen()
+    mixed = sis.SingPoint(ctx, 0, (Fraction(1, 2) * a * a - 3, Fraction(-2, 7)), 4)
+    return rational, conjugate, mixed
 
 
 vw_polys = st.builds(
@@ -352,7 +356,8 @@ def test_localize_is_translation(localize_points, p):
 @settings(max_examples=30)
 @given(p=vw_polys)
 def test_value_is_evaluation(localize_points, p):
-    # over QQ the value is summed in integers, over Q(a) by MPoly.evaluate
+    # over QQ the value is summed in integers, over Q(a) by Horner's rule
+    # in the integer kernel
     for pt in localize_points:
         assert pt.value(p) == p.lift(pt.ctx).evaluate(dict(zip(GERM_VARS, pt.coords)))
 

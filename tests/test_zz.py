@@ -206,6 +206,25 @@ def test_divides():
         assert (exact_div(f, P(q)) is not None) is expected
 
 
+def test_divides_filter_rejects_before_exact_division(monkeypatch):
+    # x^2 + y^2 - 2z^2 vanishes on x = y = z but is not divisible by
+    # x - y; a point whose coordinates agree modulo a large smooth number
+    # (as 2^(61 + 32k) - 1 do modulo 2^61 (2^32 - 1)) lets x - y through
+    P = lambda text: parse_poly(text, vars=AV)  # noqa: E731
+    calls = []
+
+    def spy(p, q):
+        calls.append((p, q))
+        return exact_div(p, q)
+
+    monkeypatch.setattr(poly, "exact_div", spy)
+    for q in ("x - y", "x - z", "y - z", "x + y - 2*z"):
+        assert not divides(P(q), P("x^2 + y^2 - 2*z^2"))
+    assert calls == []
+    assert divides(P("x - y"), P("(x - y)*(x + 3*z)"))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # resultants
 
